@@ -178,6 +178,8 @@ def run(cfg: RunConfig) -> int:
     except NumericalContractError as exc:
         print(f"numerical contract violated: {exc}", file=_sys.stderr)
         return 1
+    if not points:
+        raise ValueError("the sweep grid is empty; there are no rows to write")
     _emit([p.record() for p in points], cfg)
     return 0
 
@@ -185,7 +187,12 @@ def run(cfg: RunConfig) -> int:
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads for sweep points")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="must be >= 1; points are evaluated in order in one process",
+    )
     parser.add_argument(
         "--steps-per-cycle",
         type=int,

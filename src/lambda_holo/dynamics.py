@@ -122,43 +122,60 @@ def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float) -> np.ndarray:
     u the unit vector along (conj(w0), conj(w1)), so the exponential is a
     rotation by r*h in the {u, e} plane and identity on the orthogonal
     complement. Equivalent to the eigendecomposition route, exact to
-    rounding, but vectorizes over all steps.
+    rounding, but vectorizes over all steps. The entries are written into
+    a (3, 3, n) component array and returned as its (n, 3, 3) view, the
+    layout time_ordered_product multiplies without copying.
     """
     n = w0.shape[0]
     r = np.sqrt(np.abs(w0) ** 2 + np.abs(w1) ** 2)
     safe_r = np.where(r > 0.0, r, 1.0)
     u0 = np.where(r > 0.0, np.conj(w0) / safe_r, 0.0)
     u1 = np.where(r > 0.0, np.conj(w1) / safe_r, 0.0)
+    u0c, u1c = np.conj(u0), np.conj(u1)
     angle = r * h
     c = np.cos(angle)
-    s = np.sin(angle)
+    minus_i_s = -1j * np.sin(angle)
     cm1 = c - 1.0
 
-    u = np.zeros((n, DIM, DIM), dtype=complex)
-    u[:, 0, 0] = 1.0 + cm1 * (u0 * np.conj(u0)).real
-    u[:, 0, 1] = cm1 * u0 * np.conj(u1)
-    u[:, 0, 2] = -1j * s * u0
-    u[:, 1, 0] = cm1 * u1 * np.conj(u0)
-    u[:, 1, 1] = 1.0 + cm1 * (u1 * np.conj(u1)).real
-    u[:, 1, 2] = -1j * s * u1
-    u[:, 2, 0] = -1j * s * np.conj(u0)
-    u[:, 2, 1] = -1j * s * np.conj(u1)
-    u[:, 2, 2] = c
-    return u
+    u = np.empty((DIM, DIM, n), dtype=complex)
+    u[0, 0] = 1.0 + cm1 * (u0 * u0c).real
+    u[0, 1] = cm1 * u0 * u1c
+    u[0, 2] = minus_i_s * u0
+    u[1, 0] = cm1 * u1 * u0c
+    u[1, 1] = 1.0 + cm1 * (u1 * u1c).real
+    u[1, 2] = minus_i_s * u1
+    u[2, 0] = minus_i_s * u0c
+    u[2, 1] = minus_i_s * u1c
+    u[2, 2] = c
+    return u.transpose(2, 0, 1)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
-    """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction."""
-    p = unitaries
-    while p.shape[0] > 1:
-        if p.shape[0] % 2:
-            tail, body = p[-1:], p[:-1]
-        else:
-            tail, body = None, p
-        p = np.matmul(body[1::2], body[0::2])
-        if tail is not None:
-            p = np.concatenate([p, tail], axis=0)
-    return p[0]
+    """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
+
+    Each level multiplies adjacent pairs with a 3x3 product unrolled over
+    the inner index, on (3, 3, m) component arrays, so every operation is a
+    long vectorized loop; a stack from _step_unitaries is already laid out
+    that way and is not copied. An odd last factor carries to the next level.
+    """
+    p = np.ascontiguousarray(unitaries.transpose(1, 2, 0))
+    while p.shape[2] > 1:
+        m = p.shape[2]
+        k = m // 2
+        later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
+        q = np.empty((DIM, DIM, k + m % 2), dtype=complex)
+        tmp = np.empty((DIM, k), dtype=complex)
+        for i in range(DIM):
+            row = q[i, :, :k]  # row i of every pair product, all columns at once
+            np.multiply(later[i, 0], earlier[0], out=row)
+            np.multiply(later[i, 1], earlier[1], out=tmp)
+            row += tmp
+            np.multiply(later[i, 2], earlier[2], out=tmp)
+            row += tmp
+        if m % 2:
+            q[:, :, k] = p[:, :, m - 1]
+        p = q
+    return p[:, :, 0].copy()
 
 
 def propagator(
@@ -192,7 +209,7 @@ def propagate(
     """Evolve psi0 through one pulse; the output norm is checked, not repaired."""
     psi = state_vector(psi0)
     out = propagator(sys, drive, cfg) @ psi
-    _check_norm(out)
+    check_norm(out)
     return out
 
 
@@ -226,11 +243,12 @@ def propagate_sequence(
     if not drives:
         return psi
     out = sequence_propagator(sys, drives, cfg) @ psi
-    _check_norm(out)
+    check_norm(out)
     return out
 
 
-def _check_norm(psi: np.ndarray) -> None:
+def check_norm(psi: np.ndarray) -> None:
+    """Raise NumericalContractError if psi has drifted from unit norm beyond NORM_TOL."""
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > NORM_TOL:
         raise NumericalContractError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")

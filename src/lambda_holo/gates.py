@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LambdaSystem, PropagationConfig, propagate
+from .dynamics import LambdaSystem, PropagationConfig, check_norm, propagator
 from .pulses import DriveSpec, Envelope
 from .qstate import DIM, apply, excited_population, overlap, state_vector
 
@@ -106,6 +106,22 @@ def _require_computational(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi0) -> GateOutcome:
+    """Apply an exact propagator to psi0 and compare with the ideal unitary's output.
+
+    The output norm is checked, not repaired.
+    """
+    psi = _require_computational(state_vector(psi0))
+    exact = u_exact @ psi
+    check_norm(exact)
+    ov = overlap(apply(u_ideal, psi), exact)
+    return GateOutcome(
+        fidelity=float(abs(ov)),
+        excited_population=excited_population(exact),
+        overlap_phase=float(np.angle(ov)),
+    )
+
+
 def gate_outcome(
     sys: LambdaSystem,
     gate: GateSpec,
@@ -114,15 +130,7 @@ def gate_outcome(
     cfg: PropagationConfig,
 ) -> GateOutcome:
     """Propagate psi0 exactly and compare with the ideal gate output."""
-    psi = _require_computational(state_vector(psi0))
-    exact = propagate(sys, drive, psi, cfg)
-    ideal = apply(ideal_gate(gate), psi)
-    ov = overlap(ideal, exact)
-    return GateOutcome(
-        fidelity=float(abs(ov)),
-        excited_population=excited_population(exact),
-        overlap_phase=float(np.angle(ov)),
-    )
+    return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi0)
 
 
 def gate_fidelity(

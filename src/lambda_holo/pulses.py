@@ -37,7 +37,9 @@ def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray
         sigma = width_param * tau * _FWHM_TO_SIGMA  # width_param = FWHM / tau
         g = np.exp(-((tv - 0.5 * tau) ** 2) / (2.0 * sigma * sigma))
     elif kind == "sech":
-        g = 1.0 / np.cosh(width_param * np.where(inside, x, 0.0))
+        # for steep beta cosh overflows to inf in the tails, where 1/inf = 0 is the limit
+        with np.errstate(over="ignore"):
+            g = 1.0 / np.cosh(width_param * np.where(inside, x, 0.0))
     elif kind == "parabola":
         g = 1.0 - x * x
     elif kind == "sin2":

@@ -2,32 +2,30 @@
 
 Every sweep returns a list of SweepPoint records in deterministic parameter
 order; each record echoes the full coordinates of the run so an output file
-needs no ambient context to interpret. Points are independent and may be
-evaluated by a thread pool; assembly order never depends on completion order.
+needs no ambient context to interpret. A sweep first lays out its rows, then
+evaluates them in order in one process, building each distinct propagator
+once and applying it to every input state and row that needs it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import TRANSMON, LambdaSystem, PropagationConfig, propagate_sequence
+from .dynamics import TRANSMON, LambdaSystem, PropagationConfig, propagator
 from .gates import (
     AVERAGE_INPUT_LABELS,
-    GateOutcome,
     GateSpec,
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
     drive_for_gate,
-    gate_outcome,
     ideal_gate,
+    unitary_outcome,
 )
-from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS, envelope
-from .qstate import apply, excited_population, overlap
+from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS, Envelope, envelope
 
 NS = 1e-9
 
@@ -73,51 +71,95 @@ class SweepPoint:
         return row
 
 
-def _run_jobs(jobs: Sequence[Callable[[], SweepPoint]], workers: int) -> list[SweepPoint]:
-    if workers <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+@dataclass(frozen=True)
+class _Row:
+    """One output row, laid out before anything is propagated.
+
+    Each term is a gate sequence applied back to back on one clock that
+    starts at the config's time origin; a term's fidelity is averaged over
+    the inputs and the row's fidelity is the product over its terms. A row
+    with one term reports the averaged excited population, and a row with
+    one term and one input also the overlap phase.
+    """
+
+    coordinates: dict
+    sys: LambdaSystem
+    env: Envelope
+    terms: tuple[tuple[GateSpec, ...], ...]
+    inputs: tuple[str, ...]
 
 
-def _pulse(kind: str, tau_ns: float, fwhm_fraction: float, sech_beta: float):
-    return envelope(kind, tau_ns * NS, fwhm_fraction=fwhm_fraction, sech_beta=sech_beta)
-
-
-def _coords(
+def _row(
     sys: LambdaSystem,
     cfg: PropagationConfig,
-    kind: str,
-    width_param: float | None,
+    env: Envelope,
     tau_ns: float,
-    gate: GateSpec | None,
-    input_label: str,
+    terms: tuple[tuple[GateSpec, ...], ...],
+    inputs: tuple[str, ...],
     **extra,
-) -> dict:
+) -> _Row:
     coords = {
         "mode": cfg.mode,
         "fe0_rad_s": sys.fe0,
         "fe1_rad_s": sys.fe1,
-        "envelope": kind,
-        "width_param": width_param,
+        "envelope": env.kind,
+        "width_param": env.width_param,
         "tau_ns": tau_ns,
-        "input": input_label,
+        "input": inputs[0] if len(inputs) == 1 else "avg",
     }
-    if gate is not None:
-        coords["gate"] = gate.name
-        coords["theta_rad"] = gate.theta
-        coords["phi_rad"] = gate.phi
+    if len(terms) == 1 and len(terms[0]) == 1:
+        gate = terms[0][0]
+        coords.update(gate=gate.name, theta_rad=gate.theta, phi_rad=gate.phi)
     coords.update(extra)
-    return coords
+    return _Row(coords, sys, env, terms, inputs)
 
 
-def _outcome_point(coords: dict, outcome: GateOutcome) -> SweepPoint:
-    return SweepPoint(
-        coordinates=coords,
-        fidelity=outcome.fidelity,
-        excited_population=outcome.excited_population,
-        overlap_phase=outcome.overlap_phase,
-    )
+def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> list[SweepPoint]:
+    """Evaluate rows in order, building each distinct propagator once.
+
+    Propagators are keyed on (system, drive, pulse start, config) in a dict
+    that lives only for this call. workers is validated and kept for
+    compatibility; evaluation is sequential in the calling thread.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    built: dict[tuple, np.ndarray] = {}
+
+    def pulse_propagator(sys: LambdaSystem, gate: GateSpec, env: Envelope, start: float):
+        drive = drive_for_gate(gate, env)
+        key = (sys, drive, start, cfg)
+        if key not in built:
+            built[key] = propagator(sys, drive, cfg, pulse_start=start)
+        return built[key]
+
+    points = []
+    for row in rows:
+        fids, outcomes = [], []
+        for gates in row.terms:
+            start, u_exact, u_ideal = cfg.time_origin, None, None
+            for gate in gates:
+                u, ideal = pulse_propagator(row.sys, gate, row.env, start), ideal_gate(gate)
+                u_exact = u if u_exact is None else u @ u_exact
+                u_ideal = ideal if u_ideal is None else ideal @ u_ideal
+                start += row.env.tau
+            outcomes = [unitary_outcome(u_exact, u_ideal, INPUT_STATES[s]) for s in row.inputs]
+            fids.append(np.mean([o.fidelity for o in outcomes]))
+        single = len(row.terms) == 1
+        points.append(
+            SweepPoint(
+                coordinates=row.coordinates,
+                fidelity=float(np.prod(fids)),
+                excited_population=(
+                    float(np.mean([o.excited_population for o in outcomes])) if single else None
+                ),
+                overlap_phase=outcomes[0].overlap_phase if single and len(outcomes) == 1 else None,
+            )
+        )
+    return points
+
+
+def _pulse(kind: str, tau_ns: float, fwhm_fraction: float, sech_beta: float) -> Envelope:
+    return envelope(kind, tau_ns * NS, fwhm_fraction=fwhm_fraction, sech_beta=sech_beta)
 
 
 def frequency_sweep(
@@ -135,19 +177,9 @@ def frequency_sweep(
     """Fidelity vs transition frequency, the same f on both transitions."""
     cfg = cfg or PropagationConfig()
     env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-    psi0 = INPUT_STATES[input_label]
-
-    def job(f: float, gate: GateSpec) -> Callable[[], SweepPoint]:
-        def evaluate() -> SweepPoint:
-            sys = LambdaSystem(fe0=f, fe1=f)
-            outcome = gate_outcome(sys, gate, drive_for_gate(gate, env), psi0, cfg)
-            coords = _coords(sys, cfg, kind, env.width_param, tau_ns, gate, input_label)
-            return _outcome_point(coords, outcome)
-
-        return evaluate
-
-    jobs = [job(float(f), gate) for f in freqs for gate in gates]
-    return _run_jobs(jobs, workers)
+    systems = [LambdaSystem(fe0=float(f), fe1=float(f)) for f in freqs]
+    rows = [_row(s, cfg, env, tau_ns, ((g,),), (input_label,)) for s in systems for g in gates]
+    return _evaluate(rows, cfg, workers)
 
 
 def envelope_input_sweep(
@@ -164,20 +196,9 @@ def envelope_input_sweep(
 ) -> list[SweepPoint]:
     """Envelope-shape x input-state fidelity grid at fixed gate and duration."""
     cfg = cfg or PropagationConfig()
-
-    def job(kind: str, input_label: str) -> Callable[[], SweepPoint]:
-        def evaluate() -> SweepPoint:
-            env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-            outcome = gate_outcome(
-                sys, gate, drive_for_gate(gate, env), INPUT_STATES[input_label], cfg
-            )
-            coords = _coords(sys, cfg, kind, env.width_param, tau_ns, gate, input_label)
-            return _outcome_point(coords, outcome)
-
-        return evaluate
-
-    jobs = [job(kind, label) for kind in kinds for label in inputs]
-    return _run_jobs(jobs, workers)
+    envs = [_pulse(kind, tau_ns, fwhm_fraction, sech_beta) for kind in kinds]
+    rows = [_row(sys, cfg, env, tau_ns, ((gate,),), (label,)) for env in envs for label in inputs]
+    return _evaluate(rows, cfg, workers)
 
 
 def duration_sweep(
@@ -194,20 +215,12 @@ def duration_sweep(
 ) -> list[SweepPoint]:
     """Fidelity per (envelope kind, pulse duration) for one gate and input."""
     cfg = cfg or PropagationConfig()
-
-    def job(kind: str, tau_ns: float) -> Callable[[], SweepPoint]:
-        def evaluate() -> SweepPoint:
-            env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-            outcome = gate_outcome(
-                sys, gate, drive_for_gate(gate, env), INPUT_STATES[input_label], cfg
-            )
-            coords = _coords(sys, cfg, kind, env.width_param, tau_ns, gate, input_label)
-            return _outcome_point(coords, outcome)
-
-        return evaluate
-
-    jobs = [job(kind, float(t)) for kind in kinds for t in durations_ns]
-    return _run_jobs(jobs, workers)
+    rows = [
+        _row(sys, cfg, _pulse(kind, t, fwhm_fraction, sech_beta), t, ((gate,),), (input_label,))
+        for kind in kinds
+        for t in map(float, durations_ns)
+    ]
+    return _evaluate(rows, cfg, workers)
 
 
 def duration_average_sweep(
@@ -225,50 +238,14 @@ def duration_average_sweep(
     cfg = cfg or PropagationConfig()
     if durations_ns is None:
         durations_ns = fig1_default_durations_ns()
-
-    def job(gate: GateSpec, tau_ns: float) -> Callable[[], SweepPoint]:
-        def evaluate() -> SweepPoint:
-            env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-            drive = drive_for_gate(gate, env)
-            outcomes = [
-                gate_outcome(sys, gate, drive, INPUT_STATES[label], cfg)
-                for label in AVERAGE_INPUT_LABELS
-            ]
-            coords = _coords(sys, cfg, kind, env.width_param, tau_ns, gate, "avg")
-            return SweepPoint(
-                coordinates=coords,
-                fidelity=float(np.mean([o.fidelity for o in outcomes])),
-                excited_population=float(np.mean([o.excited_population for o in outcomes])),
-                overlap_phase=None,
-            )
-
-        return evaluate
-
-    jobs = [job(gate, float(t)) for gate in gates for t in durations_ns]
-    return _run_jobs(jobs, workers)
-
-
-def _sequence_average(
-    sys: LambdaSystem,
-    first: GateSpec,
-    second: GateSpec,
-    tau_ns: float,
-    kind: str,
-    fwhm_fraction: float,
-    sech_beta: float,
-    cfg: PropagationConfig,
-) -> tuple[float, float]:
-    """Input-averaged fidelity of two abutting pulses against the ideal product."""
-    env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-    drives = [drive_for_gate(first, env), drive_for_gate(second, env)]
-    u_ideal = ideal_gate(second) @ ideal_gate(first)
-    fids, pops = [], []
-    for label in AVERAGE_INPUT_LABELS:
-        psi0 = INPUT_STATES[label]
-        exact = propagate_sequence(sys, drives, psi0, cfg)
-        fids.append(abs(overlap(apply(u_ideal, psi0), exact)))
-        pops.append(excited_population(exact))
-    return float(np.mean(fids)), float(np.mean(pops))
+    taus = [float(t) for t in durations_ns]
+    envs = [_pulse(kind, t, fwhm_fraction, sech_beta) for t in taus]
+    rows = [
+        _row(sys, cfg, env, t, ((g,),), AVERAGE_INPUT_LABELS)
+        for g in gates
+        for t, env in zip(taus, envs)
+    ]
+    return _evaluate(rows, cfg, workers)
 
 
 def sequence_sweep(
@@ -290,51 +267,16 @@ def sequence_sweep(
     cfg = cfg or PropagationConfig()
     if durations_ns is None:
         durations_ns = fig2_default_durations_ns()
-
-    def job(tau_ns: float, label: str) -> Callable[[], SweepPoint]:
-        def evaluate() -> SweepPoint:
-            env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
-            if label == "hadamard_then_not":
-                fid, pop = _sequence_average(
-                    sys, HADAMARD_GATE, NOT_GATE, tau_ns, kind, fwhm_fraction, sech_beta, cfg
-                )
-            elif label == "not_then_hadamard":
-                fid, pop = _sequence_average(
-                    sys, NOT_GATE, HADAMARD_GATE, tau_ns, kind, fwhm_fraction, sech_beta, cfg
-                )
-            else:
-                fid_not = np.mean(
-                    [
-                        gate_outcome(
-                            sys, NOT_GATE, drive_for_gate(NOT_GATE, env), INPUT_STATES[l], cfg
-                        ).fidelity
-                        for l in AVERAGE_INPUT_LABELS
-                    ]
-                )
-                fid_had = np.mean(
-                    [
-                        gate_outcome(
-                            sys,
-                            HADAMARD_GATE,
-                            drive_for_gate(HADAMARD_GATE, env),
-                            INPUT_STATES[l],
-                            cfg,
-                        ).fidelity
-                        for l in AVERAGE_INPUT_LABELS
-                    ]
-                )
-                fid, pop = float(fid_not * fid_had), None
-            coords = _coords(
-                sys, cfg, kind, env.width_param, tau_ns, None, "avg", sequence=label
-            )
-            return SweepPoint(
-                coordinates=coords,
-                fidelity=fid,
-                excited_population=pop,
-                overlap_phase=None,
-            )
-
-        return evaluate
-
-    jobs = [job(float(t), label) for t in durations_ns for label in SEQUENCE_LABELS]
-    return _run_jobs(jobs, workers)
+    terms = {
+        "hadamard_then_not": ((HADAMARD_GATE, NOT_GATE),),
+        "not_then_hadamard": ((NOT_GATE, HADAMARD_GATE),),
+        "product": ((NOT_GATE,), (HADAMARD_GATE,)),
+    }
+    rows = []
+    for t in map(float, durations_ns):
+        env = _pulse(kind, t, fwhm_fraction, sech_beta)
+        rows += [
+            _row(sys, cfg, env, t, terms[label], AVERAGE_INPUT_LABELS, sequence=label)
+            for label in SEQUENCE_LABELS
+        ]
+    return _evaluate(rows, cfg, workers)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -154,3 +155,32 @@ def test_invalid_theta_exits_2(tmp_path):
              "-o", str(tmp_path / "x.csv")]
         )
     assert exc.value.code == 2
+
+
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--workers", "0", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_fig2_byte_identical_across_workers(tmp_path):
+    args = ["fig2", "--durations-ns", "10", "12"]
+    _, a = run_cli(args, tmp_path, "a.csv")
+    _, b = run_cli(args + ["--workers", "3"], tmp_path, "b.csv")
+    assert a == b
+
+
+def test_empty_grid_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", "--points", "0", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "grid is empty" in capsys.readouterr().err
+
+
+def test_steep_sech_emits_no_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run_cli(["run", "--envelope", "sech", "--sech-beta", "800"], tmp_path)
+    assert code == 0
+    assert data.decode().count("\n") == 2

@@ -138,6 +138,21 @@ def test_time_ordered_product_ordering():
     assert np.abs(time_ordered_product(us) - sequential).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
+def test_time_ordered_product_matches_sequential_loop(n):
+    # odd counts leave a carried factor at one or more levels of the reduction
+    us = _step_unitaries(
+        RNG.normal(size=n) + 1j * RNG.normal(size=n),
+        RNG.normal(size=n) + 1j * RNG.normal(size=n),
+        0.7,
+    )
+    sequential = np.eye(3, dtype=complex)
+    for u in us:
+        sequential = u @ sequential
+    for stack in (us, np.ascontiguousarray(us)):  # component view and plain (n, 3, 3) stack
+        assert np.abs(time_ordered_product(stack) - sequential).max() < 1e-13
+
+
 def test_rwa_pulse_realizes_ideal_gate():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()

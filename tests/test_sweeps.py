@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lambda_holo import dynamics, gates, sweeps
 from lambda_holo.dynamics import PropagationConfig, TRANSMON
 from lambda_holo.sweeps import (
     SEQUENCE_LABELS,
@@ -110,3 +111,30 @@ def test_record_layout():
     keys = list(rec)
     coords = sorted(points[0].coordinates)
     assert keys == coords + ["fidelity", "excited_population", "overlap_phase"]
+
+
+@pytest.fixture
+def propagator_calls(monkeypatch):
+    calls = []
+    real = dynamics.propagator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (dynamics, gates, sweeps):  # every module that may bind the name
+        monkeypatch.setattr(module, "propagator", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sweep, distinct",
+    [
+        (duration_average_sweep, 200),  # 2 gates x 100 durations, shared by 3 inputs
+        (sequence_sweep, 76),  # NOT and Hadamard at pulse start 0 and tau, 19 durations
+        (envelope_input_sweep, 5),  # one drive per envelope kind, shared by 3 inputs
+    ],
+)
+def test_each_distinct_propagator_is_built_once(propagator_calls, sweep, distinct):
+    sweep()
+    assert len(propagator_calls) == distinct
