@@ -103,78 +103,47 @@ def _gate_spec(cfg: RunConfig) -> GateSpec:
     raise ValueError(f"--gate must be one of {tuple(GATE_PRESETS)} or 'custom', got {cfg.gate!r}")
 
 
+# command -> sweep call, given the config, its system and the keyword arguments all presets share
+_PRESETS = {
+    "table1": lambda c, sys_, kw: sweeps.frequency_sweep(
+        c.frequencies or sweeps.TABLE1_FREQUENCIES,
+        tau_ns=c.tau_ns,
+        kind=c.envelope,
+        input_label=c.input_label,
+        **kw,
+    ),
+    "table2": lambda c, sys_, kw: sweeps.envelope_input_sweep(sys=sys_, tau_ns=c.tau_ns, **kw),
+    "table3": lambda c, sys_, kw: sweeps.duration_sweep(
+        c.durations_ns or sweeps.TABLE3_DURATIONS_NS, sys=sys_, **kw
+    ),
+    "fig1": lambda c, sys_, kw: sweeps.duration_average_sweep(
+        sweeps.fig1_default_durations_ns(points=c.points, lo=c.tau_min_ns, hi=c.tau_max_ns),
+        sys=sys_,
+        kind=c.envelope,
+        **kw,
+    ),
+    "fig2": lambda c, sys_, kw: sweeps.sequence_sweep(
+        c.durations_ns, sys=sys_, kind=c.envelope, **kw
+    ),
+    "run": lambda c, sys_, kw: sweeps.duration_sweep(
+        (c.tau_ns,), (c.envelope,), sys=sys_, gate=_gate_spec(c), input_label=c.input_label, **kw
+    ),
+}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured command and write its records; returns the exit status."""
+    if cfg.command not in _PRESETS:
+        raise ValueError(f"unknown command {cfg.command!r}")
+    shared = dict(
+        fwhm_fraction=cfg.fwhm_fraction,
+        sech_beta=cfg.sech_beta,
+        cfg=PropagationConfig(mode=cfg.mode, steps_per_cycle=cfg.steps_per_cycle),
+        workers=cfg.workers,
+    )
     sys_ = LambdaSystem(fe0=cfg.fe0, fe1=cfg.fe1)
-    prop = PropagationConfig(mode=cfg.mode, steps_per_cycle=cfg.steps_per_cycle)
     try:
-        if cfg.command == "table1":
-            points = sweeps.frequency_sweep(
-                cfg.frequencies or sweeps.TABLE1_FREQUENCIES,
-                tau_ns=cfg.tau_ns,
-                kind=cfg.envelope,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                input_label=cfg.input_label,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        elif cfg.command == "table2":
-            points = sweeps.envelope_input_sweep(
-                sys=sys_,
-                tau_ns=cfg.tau_ns,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        elif cfg.command == "table3":
-            points = sweeps.duration_sweep(
-                cfg.durations_ns or sweeps.TABLE3_DURATIONS_NS,
-                sys=sys_,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        elif cfg.command == "fig1":
-            durations = sweeps.fig1_default_durations_ns(
-                points=cfg.points, lo=cfg.tau_min_ns, hi=cfg.tau_max_ns
-            )
-            points = sweeps.duration_average_sweep(
-                durations,
-                sys=sys_,
-                kind=cfg.envelope,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        elif cfg.command == "fig2":
-            points = sweeps.sequence_sweep(
-                cfg.durations_ns,
-                sys=sys_,
-                kind=cfg.envelope,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        elif cfg.command == "run":
-            gate = _gate_spec(cfg)
-            points = sweeps.duration_sweep(
-                (cfg.tau_ns,),
-                (cfg.envelope,),
-                sys=sys_,
-                gate=gate,
-                input_label=cfg.input_label,
-                fwhm_fraction=cfg.fwhm_fraction,
-                sech_beta=cfg.sech_beta,
-                cfg=prop,
-                workers=cfg.workers,
-            )
-        else:
-            raise ValueError(f"unknown command {cfg.command!r}")
+        points = _PRESETS[cfg.command](cfg, sys_, shared)
     except NumericalContractError as exc:
         print(f"numerical contract violated: {exc}", file=_sys.stderr)
         return 1
@@ -185,36 +154,33 @@ def run(cfg: RunConfig) -> int:
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
+    parser.add_argument("-o", "--output", help="output path (default: stdout)")
+    parser.add_argument("--format", dest="fmt", choices=FORMATS)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="must be >= 1; points are evaluated in order in one process",
+        "--workers", type=int, help="must be >= 1; points are evaluated in order in one process"
     )
     parser.add_argument(
-        "--steps-per-cycle",
-        type=int,
-        default=40,
-        help="integration samples per counter-rotating period",
+        "--steps-per-cycle", type=int, help="integration samples per counter-rotating period"
     )
-    parser.add_argument("--mode", choices=("full", "rwa"), default="full")
+    parser.add_argument("--mode", choices=("full", "rwa"))
 
 
 def _add_system_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fe0", type=float, default=None, help="|0>-|e> frequency (rad/s)")
-    parser.add_argument("--fe1", type=float, default=None, help="|1>-|e> frequency (rad/s)")
-    parser.add_argument("--fe0-ghz", type=float, default=None, help="|0>-|e> frequency (GHz)")
-    parser.add_argument("--fe1-ghz", type=float, default=None, help="|1>-|e> frequency (GHz)")
+    parser.add_argument("--fe0", type=float, help="|0>-|e> frequency (rad/s)")
+    parser.add_argument("--fe1", type=float, help="|1>-|e> frequency (rad/s)")
+    parser.add_argument("--fe0-ghz", type=float, help="|0>-|e> frequency (GHz)")
+    parser.add_argument("--fe1-ghz", type=float, help="|1>-|e> frequency (GHz)")
 
 
-def _add_pulse_options(parser: argparse.ArgumentParser, with_kind: bool = True) -> None:
+def _add_pulse_options(
+    parser: argparse.ArgumentParser, with_kind: bool = True, with_tau: bool = True
+) -> None:
     if with_kind:
-        parser.add_argument("--envelope", choices=ENVELOPE_KINDS, default="gaussian")
-    parser.add_argument("--tau-ns", type=float, default=sweeps.DEFAULT_TAU_NS)
-    parser.add_argument("--fwhm-fraction", type=float, default=DEFAULT_FWHM_FRACTION)
-    parser.add_argument("--sech-beta", type=float, default=DEFAULT_SECH_BETA)
+        parser.add_argument("--envelope", choices=ENVELOPE_KINDS)
+    if with_tau:
+        parser.add_argument("--tau-ns", type=float)
+    parser.add_argument("--fwhm-fraction", type=float)
+    parser.add_argument("--sech-beta", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="fidelity vs transition frequency (NOT and Hadamard)")
-    p.add_argument("--frequencies", type=float, nargs="+", default=None, help="rad/s values")
-    p.add_argument("--input", dest="input_label", choices=tuple(INPUT_STATES), default="0")
-    _add_pulse_options(p, with_kind=True)
+    p.add_argument("--frequencies", type=float, nargs="+", help="rad/s values")
+    p.add_argument("--input", dest="input_label", choices=tuple(INPUT_STATES))
+    _add_pulse_options(p)
     _add_output_options(p)
 
     p = sub.add_parser("table2", help="envelope-shape x input-state fidelity grid")
@@ -239,84 +205,59 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("table3", help="envelope-shape x pulse-duration fidelity grid")
-    p.add_argument("--durations-ns", type=float, nargs="+", default=None)
+    p.add_argument("--durations-ns", type=float, nargs="+")
     _add_system_options(p)
     _add_pulse_options(p, with_kind=False)
     _add_output_options(p)
 
     p = sub.add_parser("fig1", help="input-averaged fidelity vs pulse duration")
-    p.add_argument("--tau-min-ns", type=float, default=1.0)
-    p.add_argument("--tau-max-ns", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--tau-min-ns", type=float)
+    p.add_argument("--tau-max-ns", type=float)
+    p.add_argument("--points", type=int)
     _add_system_options(p)
-    p.add_argument("--envelope", choices=ENVELOPE_KINDS, default="gaussian")
-    p.add_argument("--fwhm-fraction", type=float, default=DEFAULT_FWHM_FRACTION)
-    p.add_argument("--sech-beta", type=float, default=DEFAULT_SECH_BETA)
+    _add_pulse_options(p, with_tau=False)
     _add_output_options(p)
 
     p = sub.add_parser("fig2", help="Hadamard/NOT sequences vs product of fidelities")
-    p.add_argument("--durations-ns", type=float, nargs="+", default=None)
+    p.add_argument("--durations-ns", type=float, nargs="+")
     _add_system_options(p)
-    p.add_argument("--envelope", choices=ENVELOPE_KINDS, default="gaussian")
-    p.add_argument("--fwhm-fraction", type=float, default=DEFAULT_FWHM_FRACTION)
-    p.add_argument("--sech-beta", type=float, default=DEFAULT_SECH_BETA)
+    _add_pulse_options(p, with_tau=False)
     _add_output_options(p)
 
     p = sub.add_parser("run", help="single custom point")
     _add_system_options(p)
-    _add_pulse_options(p, with_kind=True)
-    p.add_argument("--gate", default="not", help="not | hadamard | custom")
-    p.add_argument("--theta", type=float, default=None, help="radians, for --gate custom")
-    p.add_argument("--phi", type=float, default=None, help="radians, for --gate custom")
-    p.add_argument("--input", dest="input_label", choices=tuple(INPUT_STATES), default="0")
+    _add_pulse_options(p)
+    p.add_argument("--gate", help="not | hadamard | custom")
+    p.add_argument("--theta", type=float, help="radians, for --gate custom")
+    p.add_argument("--phi", type=float, help="radians, for --gate custom")
+    p.add_argument("--input", dest="input_label", choices=tuple(INPUT_STATES))
     _add_output_options(p)
 
     return parser
 
 
-def _resolve_frequency(parser, rad_value, ghz_value, default, rad_key, ghz_key) -> float:
-    if rad_value is not None and ghz_value is not None:
-        parser.error(f"{rad_key} and {ghz_key} are mutually exclusive")
-    if ghz_value is not None:
-        return ghz_value * _GHZ_TO_RAD_S
-    if rad_value is not None:
-        return rad_value
-    return default
+def _resolve_frequency(parser: argparse.ArgumentParser, given: dict, name: str) -> None:
+    """Replace a given --<name>-ghz by <name> in rad/s; giving both is an error."""
+    ghz = given.pop(f"{name}_ghz", None)
+    if ghz is None:
+        return
+    if name in given:
+        parser.error(f"--{name} and --{name}-ghz are mutually exclusive")
+    given[name] = ghz * _GHZ_TO_RAD_S
 
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    fe0 = _resolve_frequency(
-        parser, get("fe0"), get("fe0_ghz"), TRANSMON.fe0, "--fe0", "--fe0-ghz"
-    )
-    fe1 = _resolve_frequency(
-        parser, get("fe1"), get("fe1_ghz"), TRANSMON.fe1, "--fe1", "--fe1-ghz"
-    )
-    freqs = get("frequencies")
-    durations = get("durations_ns")
-    return RunConfig(
-        command=args.command,
-        fe0=fe0,
-        fe1=fe1,
-        envelope=get("envelope", "gaussian"),
-        tau_ns=get("tau_ns", sweeps.DEFAULT_TAU_NS),
-        fwhm_fraction=get("fwhm_fraction", DEFAULT_FWHM_FRACTION),
-        sech_beta=get("sech_beta", DEFAULT_SECH_BETA),
-        gate=get("gate", "not"),
-        theta=get("theta"),
-        phi=get("phi"),
-        input_label=get("input_label", "0"),
-        mode=get("mode", "full"),
-        steps_per_cycle=get("steps_per_cycle", 40),
-        workers=get("workers", 1),
-        output=get("output"),
-        fmt=get("fmt", "csv"),
-        frequencies=tuple(freqs) if freqs else None,
-        durations_ns=tuple(durations) if durations else None,
-        tau_min_ns=get("tau_min_ns", 1.0),
-        tau_max_ns=get("tau_max_ns", 100.0),
-        points=get("points", 100),
-    )
+    """RunConfig from the options given on the command line; the rest keep its defaults.
+
+    The parser sets no defaults of its own: an option left out parses as None.
+    """
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    _resolve_frequency(parser, given, "fe0")
+    _resolve_frequency(parser, given, "fe1")
+    for name in ("frequencies", "durations_ns"):
+        if name in given:
+            given[name] = tuple(given[name])
+    return RunConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:

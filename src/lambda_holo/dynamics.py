@@ -21,6 +21,7 @@ from .pulses import DriveSpec
 from .qstate import (
     DIM,
     NORM_TOL,
+    PULSE_AREA_TOL,
     UNITARY_TOL,
     NumericalContractError,
     state_vector,
@@ -80,13 +81,12 @@ def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
     return max(cfg.min_steps, int(math.ceil(cfg.steps_per_cycle * cycles)))
 
 
-def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, t_env):
+def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a):
     """Off-diagonal entries w_j = <e|H|j> at absolute time(s) t_abs.
 
-    t_env is the time within the pulse window (t_abs minus the pulse start);
-    only the envelope uses it, the counter-rotating phases run on t_abs.
+    a is the envelope sampled at the same instants on the pulse's own clock
+    (t_abs minus the pulse start); the counter-rotating phases run on t_abs.
     """
-    a = drive.envelope.evaluate(t_env)
     if mode == "full":
         w0 = drive.c0 * a * (1.0 + np.exp(-2j * sys.fe0 * np.asarray(t_abs, dtype=float)))
         w1 = drive.c1 * a * (1.0 + np.exp(-2j * sys.fe1 * np.asarray(t_abs, dtype=float)))
@@ -106,7 +106,7 @@ def hamiltonian_at(
     pulse_start: float = 0.0,
 ) -> np.ndarray:
     """3x3 Hermitian Hamiltonian at absolute time t for a pulse starting at pulse_start."""
-    w0, w1 = _coupling_weights(sys, drive, mode, t, t - pulse_start)
+    w0, w1 = _coupling_weights(sys, drive, mode, t, drive.envelope.evaluate(t - pulse_start))
     h = np.zeros((DIM, DIM), dtype=complex)
     h[2, 0] = w0
     h[2, 1] = w1
@@ -184,13 +184,25 @@ def propagator(
     cfg: PropagationConfig,
     pulse_start: float | None = None,
 ) -> np.ndarray:
-    """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau]."""
+    """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau].
+
+    Refused unless the steps resolve the envelope: its midpoint-sampled area
+    must match the exact area to PULSE_AREA_TOL (relative).
+    """
     start = cfg.time_origin if pulse_start is None else pulse_start
     tau = drive.envelope.tau
     n = num_steps(sys, tau, cfg)
     h = tau / n
     t_mid = start + (np.arange(n) + 0.5) * h
-    w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, t_mid - start)
+    a = drive.envelope.evaluate(t_mid - start)
+    sampled, area = h * float(a.sum()), drive.envelope.area
+    if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
+        raise NumericalContractError(
+            f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
+            "the envelope is not resolved"
+        )
+    w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a)
+    del a, t_mid  # the product below is the memory peak; drop what it does not use
     u = time_ordered_product(_step_unitaries(w0, w1, h))
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:

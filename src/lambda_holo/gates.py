@@ -151,8 +151,9 @@ def average_fidelity(
     cfg: PropagationConfig,
 ) -> float:
     """Arithmetic mean of the fidelity over the three canonical input states."""
+    u_exact, u_ideal = propagator(sys, drive, cfg), ideal_gate(gate)
     fids = [
-        gate_fidelity(sys, gate, drive, INPUT_STATES[label], cfg)
+        unitary_outcome(u_exact, u_ideal, INPUT_STATES[label]).fidelity
         for label in AVERAGE_INPUT_LABELS
     ]
     return float(np.mean(fids))

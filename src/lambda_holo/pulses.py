@@ -23,9 +23,8 @@ DEFAULT_SECH_BETA = 5.3
 # FWHM = 2*sqrt(2*ln 2) * sigma for a Gaussian
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-_QUAD_START_PANELS = 4096
-_QUAD_MAX_PANELS = 2**22
-_QUAD_RTOL = 1e-13
+# area over tau of the shapes that span the whole window
+_AREA_FRACTION = {"parabola": 2.0 / 3.0, "sin2": 0.5, "square": 1.0}
 
 
 def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray:
@@ -51,29 +50,19 @@ def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray
     return np.where(inside, g, 0.0)
 
 
-def _simpson_area(kind: str, tau: float, width_param: float | None, panels: int) -> float:
-    x = np.linspace(0.0, tau, panels + 1)
-    y = raw_shape(kind, tau, width_param, x)
-    h = tau / panels
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
 def shape_area(kind: str, tau: float, width_param: float | None) -> float:
-    """Integral of the raw shape over [0, tau], by composite Simpson.
-
-    Panel count starts at 4096 and doubles until two successive estimates
-    agree to 1e-13 relative; all five shapes are smooth enough that this
-    converges within a few doublings.
-    """
-    panels = _QUAD_START_PANELS
-    prev = _simpson_area(kind, tau, width_param, panels)
-    while panels < _QUAD_MAX_PANELS:
-        panels *= 2
-        cur = _simpson_area(kind, tau, width_param, panels)
-        if abs(cur - prev) <= _QUAD_RTOL * abs(cur):
-            return cur
-        prev = cur
-    return prev
+    """Integral of the raw shape over [0, tau], in closed form."""
+    if kind == "gaussian":
+        # erf argument tau / (2 sqrt(2) sigma) as sqrt(ln 2) / width_param: sigma may underflow to 0
+        sigma = width_param * tau * _FWHM_TO_SIGMA
+        return sigma * math.sqrt(2.0 * math.pi) * math.erf(math.sqrt(math.log(2.0)) / width_param)
+    if kind == "sech":
+        # tau * gd(beta) / beta; gd(beta) = 2 atan(tanh(beta/2)) stays finite where
+        # the equal atan(sinh(beta)) overflows (beta > ~710)
+        return tau * (2.0 * math.atan(math.tanh(0.5 * width_param)) / width_param)
+    if kind in _AREA_FRACTION:
+        return _AREA_FRACTION[kind] * tau
+    raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +79,11 @@ class Envelope:
         return self.amplitude * raw_shape(self.kind, self.tau, self.width_param, t)
 
     __call__ = evaluate
+
+    @property
+    def area(self) -> float:
+        """Pulse area A * integral of g over [0, tau]; pi for an envelope from envelope()."""
+        return self.amplitude * shape_area(self.kind, self.tau, self.width_param)
 
     def with_amplitude(self, amplitude: float) -> "Envelope":
         """Copy with a different amplitude scale (diagnostics and limit checks)."""

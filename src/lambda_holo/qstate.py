@@ -15,10 +15,12 @@ BASIS_LABELS = ("0", "1", "e")
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
+# relative deviation of a propagator's sampled pulse area from the envelope's exact area
+PULSE_AREA_TOL = 1e-4
 
 
 class NumericalContractError(RuntimeError):
-    """A numerical guarantee (norm conservation, unitarity) was violated."""
+    """A numerical guarantee (norm conservation, unitarity, resolved pulse area) was violated."""
 
 
 def _as_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:

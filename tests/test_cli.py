@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
-from lambda_holo.cli import main
+from lambda_holo.cli import RunConfig, build_parser, config_from_args, main
+
+COMMANDS = ("table1", "table2", "table3", "fig1", "fig2", "run")
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -184,3 +186,19 @@ def test_steep_sech_emits_no_warning(tmp_path):
         code, data = run_cli(["run", "--envelope", "sech", "--sech-beta", "800"], tmp_path)
     assert code == 0
     assert data.decode().count("\n") == 2
+
+
+def test_unresolved_envelope_exits_1(tmp_path, capsys):
+    # a Gaussian far narrower than one step samples to zero area: refused, not fidelity 0
+    code = main(["run", "--fwhm-fraction", "1e-6", "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "envelope is not resolved" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_config_is_the_only_source_of_defaults(command):
+    parser = build_parser()
+    args = parser.parse_args([command])
+    assert {name for name, value in vars(args).items() if value is not None} == {"command"}
+    assert config_from_args(parser, args) == RunConfig(command=command)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lambda_holo import gates
 from lambda_holo.dynamics import LambdaSystem, PropagationConfig, TRANSMON
 from lambda_holo.gates import (
     AVERAGE_INPUT_LABELS,
@@ -132,6 +133,21 @@ def test_gate_outcome_diagnostics():
 def test_average_fidelity_rwa():
     cfg = PropagationConfig(mode="rwa")
     fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), cfg)
+    assert abs(fid - 1.0) < 1e-6
+
+
+def test_average_fidelity_builds_one_propagator(monkeypatch):
+    calls = []
+    real = gates.propagator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "propagator", counting)
+    cfg = PropagationConfig(mode="rwa")
+    fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), cfg)
+    assert len(calls) == 1  # one propagator, applied to all three inputs
     assert abs(fid - 1.0) < 1e-6
 
 

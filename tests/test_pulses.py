@@ -56,10 +56,30 @@ def test_sech_amplitude_against_closed_form():
     assert abs(env.amplitude - math.pi / area) / env.amplitude < 1e-12
 
 
-@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
-@pytest.mark.parametrize("tau_ns", DURATIONS_NS)
-def test_pi_area_after_normalization(kind, tau_ns):
-    env = envelope(kind, tau_ns * NS)
+# widths far from the defaults, where a closed form is easiest to get wrong
+EXTREME_WIDTHS = (
+    ("gaussian", "fwhm_fraction", 0.01),
+    ("gaussian", "fwhm_fraction", 4.0),
+    ("sech", "sech_beta", 0.01),
+    ("sech", "sech_beta", 60.0),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, tau_ns, widths",
+    [
+        pytest.param(kind, tau_ns, {}, id=f"{tau_ns}-{kind}")
+        for kind in ENVELOPE_KINDS
+        for tau_ns in DURATIONS_NS
+    ]
+    + [
+        pytest.param(kind, tau_ns, {name: value}, id=f"{tau_ns}-{kind}-{name}={value}")
+        for kind, name, value in EXTREME_WIDTHS
+        for tau_ns in DURATIONS_NS
+    ],
+)
+def test_pi_area_after_normalization(kind, tau_ns, widths):
+    env = envelope(kind, tau_ns * NS, **widths)
     assert abs(reference_area(env) - math.pi) < 1e-10
 
 
