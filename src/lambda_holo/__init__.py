@@ -25,10 +25,8 @@ from .dynamics import (
     LambdaSystem,
     PropagationConfig,
     hamiltonian_at,
-    propagate,
     propagate_sequence,
     propagator,
-    sequence_propagator,
 )
 from .gates import (
     GATE_PRESETS,

@@ -41,8 +41,8 @@ class RunConfig:
     theta: float | None = None
     phi: float | None = None
     input_label: str = "0"
-    mode: str = "full"
-    steps_per_cycle: int = 40
+    mode: str = PropagationConfig.mode
+    steps_per_cycle: int = PropagationConfig.steps_per_cycle
     workers: int = 1
     output: str | None = None
     fmt: str = "csv"
@@ -103,6 +103,13 @@ def _gate_spec(cfg: RunConfig) -> GateSpec:
     raise ValueError(f"--gate must be one of {tuple(GATE_PRESETS)} or 'custom', got {cfg.gate!r}")
 
 
+def _fig1_durations_ns(cfg: RunConfig) -> np.ndarray:
+    for option, value in (("--tau-min-ns", cfg.tau_min_ns), ("--tau-max-ns", cfg.tau_max_ns)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{option} must be positive and finite, got {value!r}")
+    return sweeps.fig1_default_durations_ns(points=cfg.points, lo=cfg.tau_min_ns, hi=cfg.tau_max_ns)
+
+
 # command -> sweep call, given the config, its system and the keyword arguments all presets share
 _PRESETS = {
     "table1": lambda c, sys_, kw: sweeps.frequency_sweep(
@@ -117,10 +124,7 @@ _PRESETS = {
         c.durations_ns or sweeps.TABLE3_DURATIONS_NS, sys=sys_, **kw
     ),
     "fig1": lambda c, sys_, kw: sweeps.duration_average_sweep(
-        sweeps.fig1_default_durations_ns(points=c.points, lo=c.tau_min_ns, hi=c.tau_max_ns),
-        sys=sys_,
-        kind=c.envelope,
-        **kw,
+        _fig1_durations_ns(c), sys=sys_, kind=c.envelope, **kw
     ),
     "fig2": lambda c, sys_, kw: sweeps.sequence_sweep(
         c.durations_ns, sys=sys_, kind=c.envelope, **kw
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table3", help="envelope-shape x pulse-duration fidelity grid")
     p.add_argument("--durations-ns", type=float, nargs="+")
     _add_system_options(p)
-    _add_pulse_options(p, with_kind=False)
+    _add_pulse_options(p, with_kind=False, with_tau=False)
     _add_output_options(p)
 
     p = sub.add_parser("fig1", help="input-averaged fidelity vs pulse duration")

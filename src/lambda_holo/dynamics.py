@@ -48,37 +48,34 @@ class LambdaSystem:
 TRANSMON = LambdaSystem(fe0=5.0806e10, fe1=4.8580e10)
 
 
+# per-pulse step floor, for pulses whose carrier needs fewer steps
+MIN_STEPS = 2000
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     """Integration mode and step-resolution policy.
 
     The per-pulse step count resolves the fastest counter-rotating
     oscillation (period pi/f_max) with steps_per_cycle samples, with a
-    min_steps floor for small frequencies. time_origin places the pulse
-    on the absolute clock used by the phase factors.
+    MIN_STEPS floor for small frequencies.
     """
 
     mode: str = "full"
     steps_per_cycle: int = 40
-    min_steps: int = 2000
-    time_origin: float = 0.0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps_per_cycle < 8:
             raise ValueError(f"steps_per_cycle must be >= 8, got {self.steps_per_cycle!r}")
-        if self.min_steps < 1:
-            raise ValueError(f"min_steps must be >= 1, got {self.min_steps!r}")
-        if not np.isfinite(self.time_origin):
-            raise ValueError("time_origin must be finite")
 
 
 def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
-    """Per-pulse step count: max(min_steps, ceil(steps_per_cycle * tau * 2 f_max / 2pi))."""
+    """Per-pulse step count: max(MIN_STEPS, ceil(steps_per_cycle * tau * 2 f_max / 2pi))."""
     f_fast = max(2.0 * sys.fe0, 2.0 * sys.fe1)
     cycles = tau * f_fast / (2.0 * math.pi)
-    return max(cfg.min_steps, int(math.ceil(cfg.steps_per_cycle * cycles)))
+    return max(MIN_STEPS, int(math.ceil(cfg.steps_per_cycle * cycles)))
 
 
 def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a):
@@ -182,19 +179,18 @@ def propagator(
     sys: LambdaSystem,
     drive: DriveSpec,
     cfg: PropagationConfig,
-    pulse_start: float | None = None,
+    pulse_start: float = 0.0,
 ) -> np.ndarray:
     """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau].
 
     Refused unless the steps resolve the envelope: its midpoint-sampled area
     must match the exact area to PULSE_AREA_TOL (relative).
     """
-    start = cfg.time_origin if pulse_start is None else pulse_start
     tau = drive.envelope.tau
     n = num_steps(sys, tau, cfg)
     h = tau / n
-    t_mid = start + (np.arange(n) + 0.5) * h
-    a = drive.envelope.evaluate(t_mid - start)
+    t_mid = pulse_start + (np.arange(n) + 0.5) * h
+    a = drive.envelope.evaluate(t_mid - pulse_start)
     sampled, area = h * float(a.sum()), drive.envelope.area
     if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
         raise NumericalContractError(
@@ -212,51 +208,26 @@ def propagator(
     return u
 
 
-def propagate(
-    sys: LambdaSystem,
-    drive: DriveSpec,
-    psi0,
-    cfg: PropagationConfig,
-) -> np.ndarray:
-    """Evolve psi0 through one pulse; the output norm is checked, not repaired."""
-    psi = state_vector(psi0)
-    out = propagator(sys, drive, cfg) @ psi
-    check_norm(out)
-    return out
-
-
-def sequence_propagator(
-    sys: LambdaSystem,
-    drives: Sequence[DriveSpec],
-    cfg: PropagationConfig,
-) -> np.ndarray:
-    """Propagator for back-to-back pulses sharing one absolute clock.
-
-    Pulse k occupies [t0 + sum(tau_j, j<k), t0 + sum(tau_j, j<=k)]: the
-    envelope restarts each pulse while the counter-rotating phases stay
-    continuous in absolute time.
-    """
-    u = np.eye(DIM, dtype=complex)
-    start = cfg.time_origin
-    for drive in drives:
-        u = propagator(sys, drive, cfg, pulse_start=start) @ u
-        start += drive.envelope.tau
-    return u
-
-
 def propagate_sequence(
     sys: LambdaSystem,
     drives: Sequence[DriveSpec],
     psi0,
     cfg: PropagationConfig,
 ) -> np.ndarray:
-    """Evolve psi0 through a pulse sequence; an empty sequence returns psi0."""
+    """Evolve psi0 through back-to-back pulses sharing one absolute clock from 0.
+
+    Pulse k occupies [sum(tau_j, j<k), sum(tau_j, j<=k)]: the envelope
+    restarts each pulse while the counter-rotating phases stay continuous in
+    absolute time. The output norm is checked, not repaired; an empty
+    sequence returns psi0.
+    """
     psi = state_vector(psi0)
-    if not drives:
-        return psi
-    out = sequence_propagator(sys, drives, cfg) @ psi
-    check_norm(out)
-    return out
+    start = 0.0
+    for drive in drives:
+        psi = propagator(sys, drive, cfg, pulse_start=start) @ psi
+        start += drive.envelope.tau
+    check_norm(psi)
+    return psi
 
 
 def check_norm(psi: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LambdaSystem, PropagationConfig, check_norm, propagator
-from .pulses import DriveSpec, Envelope
+from .pulses import DriveSpec, Envelope, check_angles
 from .qstate import DIM, apply, excited_population, overlap, state_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -42,12 +42,7 @@ class GateSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not -math.pi <= self.phi <= math.pi:
-            raise ValueError(f"phi must lie in [-pi, pi], got {self.phi!r}")
+        check_angles(self.theta, self.phi)
 
 
 NOT_GATE = GateSpec(theta=math.pi / 2.0, phi=math.pi, name="not")

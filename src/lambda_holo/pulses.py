@@ -78,8 +78,6 @@ class Envelope:
         """A * g(t); zero outside [0, tau]."""
         return self.amplitude * raw_shape(self.kind, self.tau, self.width_param, t)
 
-    __call__ = evaluate
-
     @property
     def area(self) -> float:
         """Pulse area A * integral of g over [0, tau]; pi for an envelope from envelope()."""
@@ -102,8 +100,6 @@ def envelope(
     as a fraction of tau, for 'sech' the dimensionless steepness beta in
     sech(beta * (2t/tau - 1)); the remaining kinds span the full window.
     """
-    if kind not in ENVELOPE_KINDS:
-        raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
     if kind == "gaussian":
@@ -117,9 +113,25 @@ def envelope(
     else:
         width = None
     area = shape_area(kind, tau, width)
-    if area <= 0.0:
-        raise ValueError(f"envelope {kind!r} has zero area over [0, {tau!r}]")
-    return Envelope(kind=kind, tau=tau, width_param=width, amplitude=math.pi / area)
+    amplitude = math.pi / area if area > 0.0 else math.inf
+    # raw_shape divides by a Gaussian's 2 sigma^2, which must neither underflow nor overflow
+    sigma = width * tau * _FWHM_TO_SIGMA if kind == "gaussian" else 1.0
+    if not (math.isfinite(amplitude) and 0.0 < 2.0 * sigma * sigma < math.inf):
+        raise ValueError(
+            f"a {kind} envelope of duration {tau!r} s is not representable: "
+            "its amplitude or shape is not finite"
+        )
+    return Envelope(kind=kind, tau=tau, width_param=width, amplitude=amplitude)
+
+
+def check_angles(theta: float, phi: float) -> None:
+    """Raise ValueError unless theta lies in [0, pi] and phi in [-pi, pi]."""
+    if not (np.isfinite(theta) and np.isfinite(phi)):
+        raise ValueError("theta and phi must be finite")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+    if not -math.pi <= phi <= math.pi:
+        raise ValueError(f"phi must lie in [-pi, pi], got {phi!r}")
 
 
 def drive_coefficients(theta: float, phi: float) -> tuple[complex, complex]:
@@ -128,12 +140,7 @@ def drive_coefficients(theta: float, phi: float) -> tuple[complex, complex]:
     theta = pi makes the ratio singular; there the limit pair (-e^{i phi}, 0)
     is returned explicitly.
     """
-    if not (np.isfinite(theta) and np.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    if not -math.pi <= phi <= math.pi:
-        raise ValueError(f"phi must lie in [-pi, pi], got {phi!r}")
+    check_angles(theta, phi)
     if abs(theta - math.pi) < 1e-12:
         return (-np.exp(1j * phi), 0.0 + 0.0j)
     c0 = -math.sin(theta / 2.0) * np.exp(1j * phi)

@@ -73,12 +73,12 @@ def hermitian_defect(m) -> float:
     return float(np.abs(mat - mat.conj().T).max())
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     mat = _as_complex_array(m, (DIM, DIM), "matrix")
     # tolerance scales with the matrix magnitude (entries are rad/s in practice)
     scale = max(1.0, float(np.abs(mat).max()))
-    defect = float(np.abs(mat - mat.conj().T).max())
-    if defect > tol * scale:
+    defect = hermitian_defect(mat)
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance")
     return mat
 

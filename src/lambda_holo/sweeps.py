@@ -76,10 +76,10 @@ class _Row:
     """One output row, laid out before anything is propagated.
 
     Each term is a gate sequence applied back to back on one clock that
-    starts at the config's time origin; a term's fidelity is averaged over
-    the inputs and the row's fidelity is the product over its terms. A row
-    with one term reports the averaged excited population, and a row with
-    one term and one input also the overlap phase.
+    starts at 0; a term's fidelity is averaged over the inputs and the row's
+    fidelity is the product over its terms. A row with one term reports the
+    averaged excited population, and a row with one term and one input also
+    the overlap phase.
     """
 
     coordinates: dict
@@ -136,7 +136,7 @@ def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> lis
     for row in rows:
         fids, outcomes = [], []
         for gates in row.terms:
-            start, u_exact, u_ideal = cfg.time_origin, None, None
+            start, u_exact, u_ideal = 0.0, None, None
             for gate in gates:
                 u, ideal = pulse_propagator(row.sys, gate, row.env, start), ideal_gate(gate)
                 u_exact = u if u_exact is None else u @ u_exact
@@ -171,11 +171,10 @@ def frequency_sweep(
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     input_label: str = "0",
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Fidelity vs transition frequency, the same f on both transitions."""
-    cfg = cfg or PropagationConfig()
     env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
     systems = [LambdaSystem(fe0=float(f), fe1=float(f)) for f in freqs]
     rows = [_row(s, cfg, env, tau_ns, ((g,),), (input_label,)) for s in systems for g in gates]
@@ -191,11 +190,10 @@ def envelope_input_sweep(
     tau_ns: float = DEFAULT_TAU_NS,
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Envelope-shape x input-state fidelity grid at fixed gate and duration."""
-    cfg = cfg or PropagationConfig()
     envs = [_pulse(kind, tau_ns, fwhm_fraction, sech_beta) for kind in kinds]
     rows = [_row(sys, cfg, env, tau_ns, ((gate,),), (label,)) for env in envs for label in inputs]
     return _evaluate(rows, cfg, workers)
@@ -210,11 +208,10 @@ def duration_sweep(
     input_label: str = "0",
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Fidelity per (envelope kind, pulse duration) for one gate and input."""
-    cfg = cfg or PropagationConfig()
     rows = [
         _row(sys, cfg, _pulse(kind, t, fwhm_fraction, sech_beta), t, ((gate,),), (input_label,))
         for kind in kinds
@@ -231,11 +228,10 @@ def duration_average_sweep(
     kind: str = "gaussian",
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Input-averaged fidelity per (gate, duration) over a dense duration grid."""
-    cfg = cfg or PropagationConfig()
     if durations_ns is None:
         durations_ns = fig1_default_durations_ns()
     taus = [float(t) for t in durations_ns]
@@ -255,7 +251,7 @@ def sequence_sweep(
     kind: str = "gaussian",
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Hadamard/NOT two-pulse combinations vs the product of single-gate fidelities.
@@ -264,7 +260,6 @@ def sequence_sweep(
     application orders (each averaged over the canonical inputs) and the
     product of the separately averaged single-gate fidelities at the same tau.
     """
-    cfg = cfg or PropagationConfig()
     if durations_ns is None:
         durations_ns = fig2_default_durations_ns()
     terms = {

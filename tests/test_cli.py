@@ -113,9 +113,11 @@ def test_stdout_when_no_output_path(capsys):
 
 
 def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["table1", "--frequency", "1e8"])
-    assert exc.value.code == 2
+    # table3 takes its durations from --durations-ns, so it has no --tau-ns
+    for args in (["table1", "--frequency", "1e8"], ["table3", "--tau-ns", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
 
 
 def test_unknown_command_exits_2():
@@ -186,6 +188,30 @@ def test_steep_sech_emits_no_warning(tmp_path):
         code, data = run_cli(["run", "--envelope", "sech", "--sech-beta", "800"], tmp_path)
     assert code == 0
     assert data.decode().count("\n") == 2
+
+
+@pytest.mark.parametrize("tau_ns", ["1e-305", "1e-160"])
+def test_unrepresentable_duration_exits_2(tau_ns, tmp_path, capsys):
+    # 1e-305 ns overflows the pi-normalised amplitude, 1e-160 ns underflows the Gaussian's sigma^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--tau-ns", tau_ns, "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"duration {float(tau_ns) * 1e-9!r} s is not representable" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--tau-min-ns", "0"), ("--tau-min-ns", "nan"), ("--tau-max-ns", "-5")]
+)
+def test_fig1_duration_bounds_must_be_positive(option, value, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", option, value, "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"{option} must be positive and finite" in capsys.readouterr().err
 
 
 def test_unresolved_envelope_exits_1(tmp_path, capsys):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from lambda_holo.dynamics import (
+    MIN_STEPS,
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
     _step_unitaries,
     hamiltonian_at,
     num_steps,
-    propagate,
     propagate_sequence,
     propagator,
-    sequence_propagator,
     time_ordered_product,
 )
 from lambda_holo.gates import (
@@ -37,7 +36,7 @@ def gaussian_drive(tau_ns=40.0, gate=NOT_GATE):
 
 
 def fidelity(sys, gate, drive, psi0, cfg):
-    exact = propagate(sys, drive, psi0, cfg)
+    exact = propagate_sequence(sys, [drive], psi0, cfg)
     return abs(overlap(ideal_gate(gate) @ psi0, exact))
 
 
@@ -47,19 +46,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(steps_per_cycle=4)
     with pytest.raises(ValueError):
-        PropagationConfig(min_steps=0)
-    with pytest.raises(ValueError):
         LambdaSystem(-1.0, 1.0)
 
 
 def test_num_steps_rule():
     cfg = PropagationConfig()
-    assert num_steps(LambdaSystem(0.0, 0.0), 40 * NS, cfg) == cfg.min_steps
+    assert MIN_STEPS == 2000
+    assert num_steps(LambdaSystem(0.0, 0.0), 40 * NS, cfg) == MIN_STEPS
     # 40 samples per counter-rotating period pi/f_max
     sys = LambdaSystem(1e10, 5e9)
     expected = math.ceil(40 * 40 * NS * 2e10 / (2 * math.pi))
     assert num_steps(sys, 40 * NS, cfg) == expected
-    assert num_steps(sys, 1 * NS, cfg) == cfg.min_steps
+    assert num_steps(sys, 1 * NS, cfg) == MIN_STEPS
 
 
 def test_hamiltonian_is_hermitian():
@@ -156,7 +154,7 @@ def test_time_ordered_product_matches_sequential_loop(n):
 def test_rwa_pulse_realizes_ideal_gate():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()
-    out = propagate(TRANSMON, drive, KET_0, cfg)
+    out = propagate_sequence(TRANSMON, [drive], KET_0, cfg)
     ideal = ideal_gate(NOT_GATE) @ KET_0
     assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
 
@@ -165,7 +163,7 @@ def test_rwa_holds_for_all_envelope_kinds():
     cfg = PropagationConfig(mode="rwa")
     for kind in ("gaussian", "sech", "parabola", "sin2", "square"):
         drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
-        out = propagate(TRANSMON, drive, INPUT_STATES["y+"], cfg)
+        out = propagate_sequence(TRANSMON, [drive], INPUT_STATES["y+"], cfg)
         ideal = ideal_gate(HADAMARD_GATE) @ INPUT_STATES["y+"]
         assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
 
@@ -200,21 +198,13 @@ def test_frozen_refinement_values(sys, gate, expected, tol):
 def test_output_norm_is_preserved():
     cfg = PropagationConfig()
     for sys in (TRANSMON, LambdaSystem(1e8, 1e8), LambdaSystem(0.0, 0.0)):
-        out = propagate(sys, gaussian_drive(), INPUT_STATES["x+"], cfg)
+        out = propagate_sequence(sys, [gaussian_drive()], INPUT_STATES["x+"], cfg)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
 
 def test_propagate_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        propagate(TRANSMON, gaussian_drive(), [1.0, 1.0, 0.0], PropagationConfig())
-
-
-def test_sequence_single_pulse_matches_propagate():
-    cfg = PropagationConfig()
-    drive = gaussian_drive()
-    lone = propagate(TRANSMON, drive, KET_0, cfg)
-    seq = propagate_sequence(TRANSMON, [drive], KET_0, cfg)
-    assert np.array_equal(lone, seq)
+        propagate_sequence(TRANSMON, [gaussian_drive()], [1.0, 1.0, 0.0], PropagationConfig())
 
 
 def test_sequence_empty_is_identity():
@@ -230,22 +220,18 @@ def test_rwa_double_not_is_identity():
 
 
 def test_sequence_uses_continuous_carrier():
-    # second pulse must see absolute time, so the composition of propagators
-    # with shifted starts reproduces the sequence exactly; a per-pulse reset
-    # (both starts at 0) differs in full mode
+    # the second pulse must see absolute time, so applying the propagators with
+    # shifted starts reproduces the sequence exactly; a per-pulse reset (both
+    # starts at 0) differs in full mode
     cfg = PropagationConfig()
     sys = LambdaSystem(3e8, 2e8)
     d1 = gaussian_drive()
     d2 = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
-    useq = sequence_propagator(sys, [d1, d2], cfg)
-    composed = propagator(sys, d2, cfg, pulse_start=40 * NS) @ propagator(
-        sys, d1, cfg, pulse_start=0.0
-    )
-    assert np.array_equal(useq, composed)
-    reset = propagator(sys, d2, cfg, pulse_start=0.0) @ propagator(
-        sys, d1, cfg, pulse_start=0.0
-    )
-    assert np.abs(useq - reset).max() > 1e-4
+    seq = propagate_sequence(sys, [d1, d2], KET_0, cfg)
+    first = propagator(sys, d1, cfg, pulse_start=0.0) @ KET_0
+    assert np.array_equal(seq, propagator(sys, d2, cfg, pulse_start=40 * NS) @ first)
+    reset = propagator(sys, d2, cfg, pulse_start=0.0) @ first
+    assert np.abs(seq - reset).max() > 1e-4
 
 
 def test_degenerate_limit_equals_doubled_rwa():
@@ -258,8 +244,8 @@ def test_degenerate_limit_equals_doubled_rwa():
         sys0 = LambdaSystem(0.0, 0.0)
         for label in ("0", "x+", "y+"):
             psi = INPUT_STATES[label]
-            full = propagate(sys0, d_full, psi, PropagationConfig(mode="full"))
-            rwa = propagate(sys0, d_rwa, psi, PropagationConfig(mode="rwa"))
+            full = propagate_sequence(sys0, [d_full], psi, PropagationConfig(mode="full"))
+            rwa = propagate_sequence(sys0, [d_rwa], psi, PropagationConfig(mode="rwa"))
             assert np.abs(full - rwa).max() < 1e-8
 
 
@@ -271,10 +257,10 @@ def test_dark_state_invariance_rwa():
         gate = GateSpec(theta=theta, phi=phi)
         drive = drive_for_gate(gate, envelope("sin2", 40 * NS))
         dark = dark_state(gate)
-        out = propagate(TRANSMON, drive, dark, cfg)
+        out = propagate_sequence(TRANSMON, [drive], dark, cfg)
         assert abs(abs(overlap(dark, out)) - 1.0) < 1e-8
         bright = bright_state(gate)
-        out_b = propagate(TRANSMON, drive, bright, cfg)
+        out_b = propagate_sequence(TRANSMON, [drive], bright, cfg)
         ov = overlap(bright, out_b)
         assert abs(abs(ov) - 1.0) < 1e-8
         assert abs(abs(np.angle(ov)) - math.pi) < 1e-6  # sign flip of the bright state
@@ -286,6 +272,8 @@ def test_amplitude_convergence_under_refinement():
     # the plateau regime and 320 in the short-pulse breakdown regime
     for kind, tau_ns, base in (("gaussian", 40.0, 160), ("square", 2.5, 320)):
         drive = drive_for_gate(NOT_GATE, envelope(kind, tau_ns * NS))
-        coarse = propagate(TRANSMON, drive, KET_0, PropagationConfig(steps_per_cycle=base))
-        fine = propagate(TRANSMON, drive, KET_0, PropagationConfig(steps_per_cycle=2 * base))
+        coarse, fine = (
+            propagate_sequence(TRANSMON, [drive], KET_0, PropagationConfig(steps_per_cycle=n))
+            for n in (base, 2 * base)
+        )
         assert np.abs(coarse - fine).max() < 1e-6

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,11 @@ def test_invalid_envelope_parameters():
         envelope("sech", 40 * NS, sech_beta=-2.0)
     with pytest.raises(ValueError):
         raw_shape("triangle", 40 * NS, None, 0.0)
+    # pi / area overflows, or a Gaussian's 2 sigma^2 underflows or overflows
+    too_short = [(kind, 1e-314) for kind in ENVELOPE_KINDS] + [("gaussian", 5e-324)]
+    for kind, tau in too_short + [("gaussian", 1e-169), ("gaussian", 1e291)]:
+        with pytest.raises(ValueError, match=re.escape(f"duration {tau!r} s is not representable")):
+            envelope(kind, tau)
 
 
 def test_not_gate_ratio_is_one():
