@@ -3,10 +3,12 @@
 The system couples |0> and |1> to a shared excited state |e> with resonant
 drives. In 'full' mode the off-diagonal couplings carry the counter-rotating
 factor (1 + exp(-2i f_ej t)); in 'rwa' mode that factor is replaced by 1
-(rotating wave approximation). Time-ordered evolution is integrated with a
-midpoint-exponential scheme: each step applies exp(-i H(t_mid) h), which is
-unconditionally unitary, so the only discretization error is the commutator
-truncation controlled by the step count.
+(rotating wave approximation). In 'rwa' mode H(t) = a(t) K with K fixed, so
+the Hamiltonians at all times commute and the propagator is the one exact
+rotation exp(-i area K). In 'full' mode time-ordered evolution is integrated
+with a midpoint-exponential scheme: each step applies exp(-i H(t_mid) h),
+which is unconditionally unitary, so the only discretization error is the
+commutator truncation controlled by the step count.
 """
 
 from __future__ import annotations
@@ -72,7 +74,12 @@ class PropagationConfig:
 
 
 def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
-    """Per-pulse step count: max(MIN_STEPS, ceil(steps_per_cycle * tau * 2 f_max / 2pi))."""
+    """Per-pulse step count: max(MIN_STEPS, ceil(steps_per_cycle * tau * 2 f_max / 2pi)).
+
+    1 in 'rwa' mode, where the propagator is one exact rotation.
+    """
+    if cfg.mode == "rwa":
+        return 1
     f_fast = max(2.0 * sys.fe0, 2.0 * sys.fe1)
     cycles = tau * f_fast / (2.0 * math.pi)
     return max(MIN_STEPS, int(math.ceil(cfg.steps_per_cycle * cycles)))
@@ -183,23 +190,29 @@ def propagator(
 ) -> np.ndarray:
     """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau].
 
-    Refused unless the steps resolve the envelope: its midpoint-sampled area
-    must match the exact area to PULSE_AREA_TOL (relative).
+    In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
+    In 'full' mode it is refused unless the steps resolve the envelope: its
+    midpoint-sampled area must match the exact area to PULSE_AREA_TOL (relative).
     """
-    tau = drive.envelope.tau
-    n = num_steps(sys, tau, cfg)
-    h = tau / n
-    t_mid = pulse_start + (np.arange(n) + 0.5) * h
-    a = drive.envelope.evaluate(t_mid - pulse_start)
-    sampled, area = h * float(a.sum()), drive.envelope.area
-    if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
-        raise NumericalContractError(
-            f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
-            "the envelope is not resolved"
-        )
-    w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a)
-    del a, t_mid  # the product below is the memory peak; drop what it does not use
-    u = time_ordered_product(_step_unitaries(w0, w1, h))
+    if cfg.mode == "rwa":
+        # a unit-weight rotation applied for the pulse area, as one contiguous 3x3
+        one = _step_unitaries(np.array([drive.c0]), np.array([drive.c1]), drive.envelope.area)
+        u = np.ascontiguousarray(one[0])
+    else:
+        tau = drive.envelope.tau
+        n = num_steps(sys, tau, cfg)
+        h = tau / n
+        t_mid = pulse_start + (np.arange(n) + 0.5) * h
+        a = drive.envelope.evaluate(t_mid - pulse_start)
+        sampled, area = h * float(a.sum()), drive.envelope.area
+        if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
+            raise NumericalContractError(
+                f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
+                "the envelope is not resolved"
+            )
+        w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a)
+        del a, t_mid  # the product below is the memory peak; drop what it does not use
+        u = time_ordered_product(_step_unitaries(w0, w1, h))
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise NumericalContractError(

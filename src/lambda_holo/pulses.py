@@ -11,6 +11,7 @@ c0/c1 = -tan(theta/2) * exp(i*phi) with |c0|^2 + |c1|^2 = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,12 +115,16 @@ def envelope(
         width = None
     area = shape_area(kind, tau, width)
     amplitude = math.pi / area if area > 0.0 else math.inf
-    # raw_shape divides by a Gaussian's 2 sigma^2, which must neither underflow nor overflow
+    # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite; raw_shape divides
+    # by a Gaussian's 2 sigma^2, which must be a normal float (a subnormal one loses digits)
     sigma = width * tau * _FWHM_TO_SIGMA if kind == "gaussian" else 1.0
-    if not (math.isfinite(amplitude) and 0.0 < 2.0 * sigma * sigma < math.inf):
+    if not (
+        math.isfinite(4.0 * amplitude * amplitude)
+        and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
+    ):
         raise ValueError(
             f"a {kind} envelope of duration {tau!r} s is not representable: "
-            "its amplitude or shape is not finite"
+            "its amplitude or shape is out of floating-point range"
         )
     return Envelope(kind=kind, tau=tau, width_param=width, amplitude=amplitude)
 

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from lambda_holo.cli import RunConfig, build_parser, config_from_args, main
+from lambda_holo.pulses import ENVELOPE_KINDS
 
 COMMANDS = ("table1", "table2", "table3", "fig1", "fig2", "run")
 
@@ -202,6 +203,29 @@ def test_unrepresentable_duration_exits_2(tau_ns, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["full", "rwa"])
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_overflowing_step_weight_exits_2(kind, mode, tmp_path, capsys):
+    # at 1e-150 ns the amplitude (about 1e159 rad/s) is finite but a step weight's square is not
+    args = ["run", "--tau-ns", "1e-150", "--envelope", kind, "--mode", mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"duration {1e-150 * 1e-9!r} s is not representable" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["full", "rwa"])
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_shortest_representable_duration_runs(kind, mode, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(["run", "--tau-ns", "1e-140", "--envelope", kind, "--mode", mode], tmp_path)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "option,value", [("--tau-min-ns", "0"), ("--tau-min-ns", "nan"), ("--tau-max-ns", "-5")]
 )
@@ -220,6 +244,26 @@ def test_unresolved_envelope_exits_1(tmp_path, capsys):
     assert code == 1
     assert "envelope is not resolved" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_rwa_needs_no_step_grid(tmp_path):
+    # the same envelope that full mode refuses is one exact rotation under the RWA
+    code, data = run_cli(["run", "--mode", "rwa", "--fwhm-fraction", "1e-6"], tmp_path)
+    assert code == 0
+    header, row = (line.split(",") for line in data.decode().strip().split("\n"))
+    assert row[header.index("fidelity")] == "1.000000"
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+def test_rwa_tables_are_ideal_gates(command, tmp_path):
+    code, data = run_cli([command, "--mode", "rwa"], tmp_path)
+    assert code == 0
+    header, *rows = (line.split(",") for line in data.decode().strip().split("\n"))
+    assert rows
+    for row in rows:
+        assert row[header.index("mode")] == "rwa"
+        assert row[header.index("fidelity")] == "1.000000"
+        assert float(row[header.index("excited_population")]) <= 1e-28
 
 
 @pytest.mark.parametrize("command", COMMANDS)

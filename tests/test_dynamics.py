@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lambda_holo import dynamics
 from lambda_holo.dynamics import (
     MIN_STEPS,
     LambdaSystem,
@@ -24,7 +25,7 @@ from lambda_holo.gates import (
     drive_for_gate,
     ideal_gate,
 )
-from lambda_holo.pulses import DriveSpec, envelope
+from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, envelope
 from lambda_holo.qstate import KET_0, expm_unitary, hermitian_defect, overlap
 
 NS = 1e-9
@@ -58,6 +59,13 @@ def test_num_steps_rule():
     expected = math.ceil(40 * 40 * NS * 2e10 / (2 * math.pi))
     assert num_steps(sys, 40 * NS, cfg) == expected
     assert num_steps(sys, 1 * NS, cfg) == MIN_STEPS
+
+
+def test_num_steps_rwa_is_one_rotation():
+    cfg = PropagationConfig(mode="rwa")
+    for sys in (LambdaSystem(0.0, 0.0), TRANSMON, LambdaSystem(1e15, 1e15)):
+        for tau in (1 * NS, 40 * NS, 100 * NS):
+            assert num_steps(sys, tau, cfg) == 1
 
 
 def test_hamiltonian_is_hermitian():
@@ -166,6 +174,60 @@ def test_rwa_holds_for_all_envelope_kinds():
         out = propagate_sequence(TRANSMON, [drive], INPUT_STATES["y+"], cfg)
         ideal = ideal_gate(HADAMARD_GATE) @ INPUT_STATES["y+"]
         assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
+
+
+def _midpoint_rwa_product(drive, n, pulse_start):
+    """The stepped RWA propagator: n midpoint steps on the pulse's own clock.
+
+    Returns the product and the sampled pulse area h * sum(a_k).
+    """
+    h = drive.envelope.tau / n
+    t_mid = pulse_start + (np.arange(n) + 0.5) * h
+    a = drive.envelope.evaluate(t_mid - pulse_start)
+    return time_ordered_product(_step_unitaries(drive.c0 * a, drive.c1 * a, h)), h * a.sum()
+
+
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 3 * math.pi / 4, math.pi])
+def test_rwa_closed_form_matches_midpoint_product(kind, theta):
+    # H(t) = a(t) K commutes at all times, so n midpoint steps multiply to
+    # exp(-i sampled_area K): the closed form differs from the stepped product
+    # only by the quadrature residue of the area, and not at all once the
+    # samples are rescaled to the exact area
+    cfg = PropagationConfig(mode="rwa")
+    env = envelope(kind, 2.5 * NS)
+    for phi in (-math.pi, -1.1, 0.0, 0.4, math.pi):
+        for scaled in (env, env.with_amplitude(2 * env.amplitude)):
+            drive = DriveSpec.for_angles(theta, phi, scaled)
+            for start in (0.0, 37 * NS):
+                closed = propagator(TRANSMON, drive, cfg, pulse_start=start)
+                assert closed.flags.c_contiguous and closed.shape == (3, 3)
+                stepped, sampled = _midpoint_rwa_product(drive, MIN_STEPS, start)
+                residue = abs(sampled - scaled.area)
+                assert np.abs(closed - stepped).max() <= residue + 1e-12
+                exact = DriveSpec(
+                    scaled.with_amplitude(scaled.amplitude * scaled.area / sampled),
+                    drive.c0,
+                    drive.c1,
+                )
+                rescaled, _ = _midpoint_rwa_product(exact, MIN_STEPS, start)
+                assert np.abs(closed - rescaled).max() < 1e-12
+
+
+def test_rwa_propagator_is_independent_of_system_and_start(monkeypatch):
+    # no step grid: an optical-frequency system costs the same one rotation
+    def no_product(unitaries):
+        raise AssertionError("an RWA propagator multiplies no steps")
+
+    monkeypatch.setattr(dynamics, "time_ordered_product", no_product)
+    cfg = PropagationConfig(mode="rwa")
+    for kind in ENVELOPE_KINDS:
+        drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
+        base = propagator(TRANSMON, drive, cfg)
+        assert np.array_equal(propagator(LambdaSystem(1e12, 1e12), drive, cfg), base)
+        assert np.array_equal(propagator(LambdaSystem(0.0, 0.0), drive, cfg, 80 * NS), base)
+    with pytest.raises(AssertionError, match="multiplies no steps"):
+        propagator(TRANSMON, gaussian_drive(), PropagationConfig(mode="full"))
 
 
 def test_table_frequency_extremes():
