@@ -34,9 +34,8 @@ from .gates import (
     INPUT_STATES,
     NOT_GATE,
     GateSpec,
-    average_fidelity,
     drive_for_gate,
-    gate_fidelity,
+    gate_outcome,
     ideal_gate,
 )
 from .sweeps import (

@@ -88,18 +88,23 @@ def _emit(records: list[dict], cfg: RunConfig) -> None:
     if cfg.output is None:
         _sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from exc
         print(f"wrote {len(records)} rows to {cfg.output}", file=_sys.stderr)
 
 
 def _gate_spec(cfg: RunConfig) -> GateSpec:
-    if cfg.gate in GATE_PRESETS:
-        return GATE_PRESETS[cfg.gate]
     if cfg.gate == "custom":
         if cfg.theta is None or cfg.phi is None:
             raise ValueError("--gate custom requires --theta and --phi (radians)")
         return GateSpec(theta=cfg.theta, phi=cfg.phi, name="custom")
+    if cfg.theta is not None or cfg.phi is not None:
+        raise ValueError("--theta and --phi apply only to --gate custom")
+    if cfg.gate in GATE_PRESETS:
+        return GATE_PRESETS[cfg.gate]
     raise ValueError(f"--gate must be one of {tuple(GATE_PRESETS)} or 'custom', got {cfg.gate!r}")
 
 

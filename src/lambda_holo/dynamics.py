@@ -76,13 +76,20 @@ class PropagationConfig:
 def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
     """Per-pulse step count: max(MIN_STEPS, ceil(steps_per_cycle * tau * 2 f_max / 2pi)).
 
-    1 in 'rwa' mode, where the propagator is one exact rotation.
+    1 in 'rwa' mode, where the propagator is one exact rotation. A count beyond
+    floating-point range raises NumericalContractError.
     """
     if cfg.mode == "rwa":
         return 1
     f_fast = max(2.0 * sys.fe0, 2.0 * sys.fe1)
     cycles = tau * f_fast / (2.0 * math.pi)
-    return max(MIN_STEPS, int(math.ceil(cfg.steps_per_cycle * cycles)))
+    steps = cfg.steps_per_cycle * cycles
+    if not math.isfinite(steps):
+        raise NumericalContractError(
+            f"fe0 = {sys.fe0!r} and fe1 = {sys.fe1!r} rad/s over tau = {tau!r} s "
+            "need a step count beyond floating-point range"
+        )
+    return max(MIN_STEPS, int(math.ceil(steps)))
 
 
 def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a):

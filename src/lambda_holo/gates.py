@@ -126,29 +126,3 @@ def gate_outcome(
 ) -> GateOutcome:
     """Propagate psi0 exactly and compare with the ideal gate output."""
     return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi0)
-
-
-def gate_fidelity(
-    sys: LambdaSystem,
-    gate: GateSpec,
-    drive: DriveSpec,
-    psi0,
-    cfg: PropagationConfig,
-) -> float:
-    """|<psi0| U_ideal^dagger U_exact |psi0>| for one input state."""
-    return gate_outcome(sys, gate, drive, psi0, cfg).fidelity
-
-
-def average_fidelity(
-    sys: LambdaSystem,
-    gate: GateSpec,
-    drive: DriveSpec,
-    cfg: PropagationConfig,
-) -> float:
-    """Arithmetic mean of the fidelity over the three canonical input states."""
-    u_exact, u_ideal = propagator(sys, drive, cfg), ideal_gate(gate)
-    fids = [
-        unitary_outcome(u_exact, u_ideal, INPUT_STATES[label]).fidelity
-        for label in AVERAGE_INPUT_LABELS
-    ]
-    return float(np.mean(fids))

@@ -11,8 +11,7 @@ c0/c1 = -tan(theta/2) * exp(i*phi) with |c0|^2 + |c1|^2 = 1.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +83,6 @@ class Envelope:
         """Pulse area A * integral of g over [0, tau]; pi for an envelope from envelope()."""
         return self.amplitude * shape_area(self.kind, self.tau, self.width_param)
 
-    def with_amplitude(self, amplitude: float) -> "Envelope":
-        """Copy with a different amplitude scale (diagnostics and limit checks)."""
-        return replace(self, amplitude=amplitude)
-
 
 def envelope(
     kind: str,
@@ -116,12 +111,10 @@ def envelope(
     area = shape_area(kind, tau, width)
     amplitude = math.pi / area if area > 0.0 else math.inf
     # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite; raw_shape divides
-    # by a Gaussian's 2 sigma^2, which must be a normal float (a subnormal one loses digits)
+    # by a Gaussian's 2 sigma^2, which must be finite. Its lower side needs no check: the
+    # area is at most sigma sqrt(2 pi), so a finite 4 A^2 forces 2 sigma^2 >= 4 pi / DBL_MAX
     sigma = width * tau * _FWHM_TO_SIGMA if kind == "gaussian" else 1.0
-    if not (
-        math.isfinite(4.0 * amplitude * amplitude)
-        and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
-    ):
+    if not (math.isfinite(4.0 * amplitude * amplitude) and 2.0 * sigma * sigma < math.inf):
         raise ValueError(
             f"a {kind} envelope of duration {tau!r} s is not representable: "
             "its amplitude or shape is out of floating-point range"
@@ -170,9 +163,3 @@ class DriveSpec:
     def for_angles(cls, theta: float, phi: float, env: Envelope) -> "DriveSpec":
         c0, c1 = drive_coefficients(theta, phi)
         return cls(envelope=env, c0=c0, c1=c1)
-
-    def omega0(self, t) -> np.ndarray:
-        return self.c0 * self.envelope.evaluate(t)
-
-    def omega1(self, t) -> np.ndarray:
-        return self.c1 * self.envelope.evaluate(t)

@@ -32,14 +32,10 @@ def _as_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
-    """Validated 3-component state vector; unit norm required unless normalize=True."""
+def state_vector(amplitudes) -> np.ndarray:
+    """Validated 3-component state vector of unit norm."""
     psi = _as_complex_array(amplitudes, (DIM,), "state vector")
     norm = float(np.linalg.norm(psi))
-    if normalize:
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return psi / norm
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL}")
     return psi

@@ -10,6 +10,7 @@ per-criterion lines.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lambda_holo.gates import (
     NOT_GATE,
     dark_state,
     drive_for_gate,
-    gate_fidelity,
+    gate_outcome,
     ideal_gate,
 )
 from lambda_holo.pulses import DriveSpec, drive_coefficients, envelope
@@ -135,10 +136,10 @@ def test_criterion_1_frequency_table(table1_fids):
 
 def _sech_fidelity(beta: float) -> float:
     env = envelope("sech", 40 * NS, sech_beta=beta)
-    return gate_fidelity(
+    return gate_outcome(
         TRANSMON, NOT_GATE, drive_for_gate(NOT_GATE, env), INPUT_STATES["0"],
         PropagationConfig(),
-    )
+    ).fidelity
 
 
 def calibrate_sech_beta(target=0.9947, lo=1.0, hi=12.0, iters=24) -> float:
@@ -174,7 +175,9 @@ def test_criterion_2_envelope_table_attainable(table2_fids, sech_beta_star):
     env = envelope("sech", 40 * NS, sech_beta=sech_beta_star)
     drive = drive_for_gate(NOT_GATE, env)
     for label, ref in TABLE2_REFS["sech"].items():
-        fid = gate_fidelity(TRANSMON, NOT_GATE, drive, INPUT_STATES[label], PropagationConfig())
+        fid = gate_outcome(
+            TRANSMON, NOT_GATE, drive, INPUT_STATES[label], PropagationConfig()
+        ).fidelity
         devs[("sech", label)] = abs(fid - ref)
     ok = all(dev <= 0.01 for dev in devs.values())
     _report(
@@ -353,7 +356,7 @@ def test_criterion_7_numerical_contracts(table1_fids, table2_fids, table3_fids):
                         DriveSpec(envelope=env, c0=c0, c1=c1),
                         PropagationConfig(mode="full"))
     u_rwa2 = propagator(LambdaSystem(0.0, 0.0),
-                        DriveSpec(envelope=env.with_amplitude(2 * env.amplitude), c0=c0, c1=c1),
+                        DriveSpec(envelope=replace(env, amplitude=2 * env.amplitude), c0=c0, c1=c1),
                         PropagationConfig(mode="rwa"))
     ok = ok and np.abs(u_full - u_rwa2).max() < 1e-8
 

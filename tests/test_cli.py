@@ -147,6 +147,31 @@ def test_custom_gate_requires_angles(tmp_path):
     assert row[header.index("fidelity")] == "1.000000"
 
 
+@pytest.mark.parametrize("gate", [None, "not", "hadamard"], ids=["default", "not", "hadamard"])
+@pytest.mark.parametrize(
+    "angles",
+    [["--theta", "1"], ["--phi", "1"], ["--theta", "1", "--phi", "1"]],
+    ids=["theta", "phi", "both"],
+)
+def test_angles_need_custom_gate(gate, angles, tmp_path, capsys):
+    args = ["run", *angles] + ([] if gate is None else ["--gate", gate])
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--theta and --phi apply only to --gate custom" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_2(target, tmp_path, capsys):
+    # a path in a directory that does not exist, and a path that is a directory
+    path = tmp_path / target
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "rwa", "-o", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot write --output {str(path)!r}" in capsys.readouterr().err
+
+
 def test_conflicting_frequency_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--fe0", "5e10", "--fe0-ghz", "8.0", "-o", str(tmp_path / "x.csv")])
@@ -193,7 +218,8 @@ def test_steep_sech_emits_no_warning(tmp_path):
 
 @pytest.mark.parametrize("tau_ns", ["1e-305", "1e-160"])
 def test_unrepresentable_duration_exits_2(tau_ns, tmp_path, capsys):
-    # 1e-305 ns overflows the pi-normalised amplitude, 1e-160 ns underflows the Gaussian's sigma^2
+    # 1e-305 ns overflows the pi-normalised amplitude; at 1e-160 ns the amplitude is finite
+    # but its square, the bound on a step weight's size, overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +270,32 @@ def test_unresolved_envelope_exits_1(tmp_path, capsys):
     assert code == 1
     assert "envelope is not resolved" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+UNBOUNDED_STEP_COUNTS = [
+    ["--fe0", "1e308", "--fe1", "1e308"],
+    ["--envelope", "square", "--tau-ns", "1e306"],
+]
+
+
+@pytest.mark.parametrize("options", UNBOUNDED_STEP_COUNTS, ids=["fe-1e308", "square-1e306"])
+def test_unbounded_step_count_exits_1(options, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", *options, "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "need a step count beyond floating-point range" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("options", UNBOUNDED_STEP_COUNTS, ids=["fe-1e308", "square-1e306"])
+def test_rwa_needs_no_step_count(options, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run_cli(["run", "--mode", "rwa", *options], tmp_path)
+    assert code == 0
+    header, row = (line.split(",") for line in data.decode().strip().split("\n"))
+    assert row[header.index("fidelity")] == "1.000000"
 
 
 def test_rwa_needs_no_step_grid(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lambda_holo import gates
 from lambda_holo.dynamics import LambdaSystem, PropagationConfig, TRANSMON
 from lambda_holo.gates import (
     AVERAGE_INPUT_LABELS,
@@ -12,15 +11,14 @@ from lambda_holo.gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    average_fidelity,
     dark_state,
     drive_for_gate,
-    gate_fidelity,
     gate_outcome,
     ideal_gate,
 )
 from lambda_holo.pulses import envelope
 from lambda_holo.qstate import KET_0, KET_1, overlap
+from lambda_holo.sweeps import duration_average_sweep
 
 NS = 1e-9
 
@@ -87,22 +85,22 @@ def test_rwa_fidelity_is_unity():
     for name, gate in GATE_PRESETS.items():
         drive = gaussian_drive(gate)
         for label in AVERAGE_INPUT_LABELS:
-            fid = gate_fidelity(TRANSMON, gate, drive, INPUT_STATES[label], cfg)
+            fid = gate_outcome(TRANSMON, gate, drive, INPUT_STATES[label], cfg).fidelity
             assert abs(fid - 1.0) < 1e-6, (name, label)
 
 
 def test_rejects_excited_state_input():
     psi = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     with pytest.raises(ValueError):
-        gate_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), psi, PropagationConfig())
+        gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), psi, PropagationConfig())
 
 
 def test_fidelity_invariant_under_input_global_phase():
     cfg = PropagationConfig()
     drive = gaussian_drive(NOT_GATE)
     psi = INPUT_STATES["y+"]
-    base = gate_fidelity(TRANSMON, NOT_GATE, drive, psi, cfg)
-    rotated = gate_fidelity(TRANSMON, NOT_GATE, drive, np.exp(0.9j) * psi, cfg)
+    base = gate_outcome(TRANSMON, NOT_GATE, drive, psi, cfg).fidelity
+    rotated = gate_outcome(TRANSMON, NOT_GATE, drive, np.exp(0.9j) * psi, cfg).fidelity
     assert base == pytest.approx(rotated, abs=1e-12)
 
 
@@ -111,14 +109,14 @@ def test_near_identity_limit_hadamard():
     # overlap is |<0|H|0>| = 1/sqrt(2)
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    fid = gate_fidelity(sys, HADAMARD_GATE, gaussian_drive(HADAMARD_GATE), KET_0, cfg)
+    fid = gate_outcome(sys, HADAMARD_GATE, gaussian_drive(HADAMARD_GATE), KET_0, cfg).fidelity
     assert abs(fid - 0.7071) < 5e-3
 
 
 def test_near_identity_limit_not():
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    fid = gate_fidelity(sys, NOT_GATE, gaussian_drive(NOT_GATE), KET_0, cfg)
+    fid = gate_outcome(sys, NOT_GATE, gaussian_drive(NOT_GATE), KET_0, cfg).fidelity
     assert fid < 0.01  # the overlap vanishes for a NOT on |0>
 
 
@@ -130,30 +128,19 @@ def test_gate_outcome_diagnostics():
     assert -math.pi <= out.overlap_phase <= math.pi
 
 
+def averaged_not_fidelity(tau_ns, cfg):
+    """NOT fidelity averaged over the canonical inputs, by the library's one averaging path."""
+    (point,) = duration_average_sweep([tau_ns], (NOT_GATE,), cfg=cfg)
+    return point.fidelity
+
+
 def test_average_fidelity_rwa():
-    cfg = PropagationConfig(mode="rwa")
-    fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), cfg)
-    assert abs(fid - 1.0) < 1e-6
-
-
-def test_average_fidelity_builds_one_propagator(monkeypatch):
-    calls = []
-    real = gates.propagator
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gates, "propagator", counting)
-    cfg = PropagationConfig(mode="rwa")
-    fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), cfg)
-    assert len(calls) == 1  # one propagator, applied to all three inputs
+    fid = averaged_not_fidelity(40.0, PropagationConfig(mode="rwa"))
     assert abs(fid - 1.0) < 1e-6
 
 
 def test_average_fidelity_plateau():
-    cfg = PropagationConfig()
-    fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE, 100.0), cfg)
+    fid = averaged_not_fidelity(100.0, PropagationConfig())
     assert fid >= 0.998
 
 
@@ -164,6 +151,5 @@ def test_average_fidelity_plateau():
     "stays above 0.99",
 )
 def test_average_fidelity_short_pulse_breakdown():
-    cfg = PropagationConfig()
-    fid = average_fidelity(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE, 2.5), cfg)
+    fid = averaged_not_fidelity(2.5, PropagationConfig())
     assert fid < 0.9

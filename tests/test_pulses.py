@@ -117,7 +117,8 @@ def test_invalid_envelope_parameters():
         envelope("sech", 40 * NS, sech_beta=-2.0)
     with pytest.raises(ValueError):
         raw_shape("triangle", 40 * NS, None, 0.0)
-    # pi / area overflows, or a Gaussian's 2 sigma^2 underflows or overflows
+    # pi / area overflows, the amplitude's square 4 A^2 overflows (gaussian 1e-169),
+    # or a Gaussian's 2 sigma^2 overflows (1e291)
     too_short = [(kind, 1e-314) for kind in ENVELOPE_KINDS] + [("gaussian", 5e-324)]
     for kind, tau in too_short + [("gaussian", 1e-169), ("gaussian", 1e291)]:
         with pytest.raises(ValueError, match=re.escape(f"duration {tau!r} s is not representable")):
@@ -168,7 +169,8 @@ def test_constant_ratio_condition():
     env = envelope("gaussian", 40 * NS)
     drive = DriveSpec.for_angles(math.pi / 3, 0.4, env)
     t = np.linspace(0.0, 40 * NS, 101)
-    rss = np.sqrt(np.abs(drive.omega0(t)) ** 2 + np.abs(drive.omega1(t)) ** 2)
+    a = drive.envelope.evaluate(t)
+    rss = np.sqrt(np.abs(drive.c0 * a) ** 2 + np.abs(drive.c1 * a) ** 2)
     assert np.abs(rss - env.evaluate(t)).max() < 1e-9 * env.amplitude
 
 

@@ -37,7 +37,7 @@ def test_basis_kets():
 def test_state_vector_norm_enforced():
     with pytest.raises(ValueError):
         state_vector([1.0, 1.0, 0.0])
-    psi = state_vector([1.0, 1.0, 0.0], normalize=True)
+    psi = state_vector(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-15
 
 
@@ -60,7 +60,7 @@ def test_overlap_orthonormal_basis():
 
 
 def test_overlap_superposition():
-    plus = state_vector([1.0, 1.0, 0.0], normalize=True)
+    plus = state_vector(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
     assert abs(overlap(KET_0, plus) - 1.0 / np.sqrt(2)) < 1e-12
 
 

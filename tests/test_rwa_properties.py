@@ -1,4 +1,8 @@
-"""Property test of the RWA oracle: a pi-area pulse of any shape and duration is the ideal gate."""
+"""Property tests of the propagator.
+
+Under the RWA a pi-area pulse of any shape and duration is the ideal gate; in
+full mode every accepted pulse builds a unitary propagator that keeps the norm.
+"""
 
 import math
 
@@ -9,9 +13,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_holo.dynamics import TRANSMON, PropagationConfig
+import numpy as np
+
+from lambda_holo.dynamics import TRANSMON, LambdaSystem, PropagationConfig, propagator
 from lambda_holo.gates import INPUT_STATES, GateSpec, drive_for_gate, gate_outcome
 from lambda_holo.pulses import ENVELOPE_KINDS, envelope
+from lambda_holo.qstate import NORM_TOL, UNITARY_TOL, unitarity_defect
 
 RWA = PropagationConfig(mode="rwa")
 
@@ -30,3 +37,20 @@ def test_rwa_pulse_is_the_ideal_gate(kind, log10_tau_ns, theta, phi, label):
     out = gate_outcome(TRANSMON, gate, drive, INPUT_STATES[label], RWA)
     assert abs(out.fidelity - 1.0) <= 1e-12
     assert out.excited_population <= 1e-24
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ENVELOPE_KINDS),
+    tau_ns=st.floats(min_value=1.0, max_value=40.0),
+    scale=st.floats(min_value=0.0, max_value=1.0),
+    theta=st.floats(min_value=0.0, max_value=math.pi),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    label=st.sampled_from(sorted(INPUT_STATES)),
+)
+def test_full_propagator_is_unitary(kind, tau_ns, scale, theta, phi, label):
+    sys = LambdaSystem(scale * TRANSMON.fe0, scale * TRANSMON.fe1)
+    drive = drive_for_gate(GateSpec(theta=theta, phi=phi), envelope(kind, tau_ns * 1e-9))
+    u = propagator(sys, drive, PropagationConfig())
+    assert unitarity_defect(u) <= UNITARY_TOL
+    assert abs(np.linalg.norm(u @ INPUT_STATES[label]) - 1.0) <= NORM_TOL
