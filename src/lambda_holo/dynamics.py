@@ -9,11 +9,19 @@ rotation exp(-i area K). In 'full' mode time-ordered evolution is integrated
 with a midpoint-exponential scheme: each step applies exp(-i H(t_mid) h),
 which is unconditionally unitary, so the only discretization error is the
 commutator truncation controlled by the step count.
+
+A full-mode propagator is built in chunks of at most CHUNK_STEPS steps: each
+chunk's midpoints, envelope samples, coupling weights, step unitaries and
+their product are written into one workspace per thread, which is kept and
+reused across chunks and calls, and the chunk's product is folded into the
+3x3 result. Memory is therefore bounded by the chunk, not by the step count;
+MAX_STEPS bounds the time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +61,18 @@ TRANSMON = LambdaSystem(fe0=5.0806e10, fe1=4.8580e10)
 # per-pulse step floor, for pulses whose carrier needs fewer steps
 MIN_STEPS = 2000
 
+# Per-pulse step cap: about 3 s of full-mode stepping. A larger count is refused,
+# not run.
+MAX_STEPS = 10_000_000
+
+# Steps per chunk of a full-mode propagator, chosen from fig1-scan benchmark runs
+# (CHANGES.md). The per-thread workspace holds this many steps, about 0.4 kB each.
+CHUNK_STEPS = 16384
+
+# A pairwise-product level with fewer matrices than this is multiplied with
+# np.matmul, where the unrolled kernel's fixed per-level cost dominates.
+_MATMUL_BELOW = 128
+
 
 @dataclass(frozen=True)
 class PropagationConfig:
@@ -77,7 +97,7 @@ def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
     """Per-pulse step count: max(MIN_STEPS, ceil(steps_per_cycle * tau * 2 f_max / 2pi)).
 
     1 in 'rwa' mode, where the propagator is one exact rotation. A count beyond
-    floating-point range raises NumericalContractError.
+    floating-point range or above MAX_STEPS raises NumericalContractError.
     """
     if cfg.mode == "rwa":
         return 1
@@ -89,24 +109,72 @@ def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
             f"fe0 = {sys.fe0!r} and fe1 = {sys.fe1!r} rad/s over tau = {tau!r} s "
             "need a step count beyond floating-point range"
         )
-    return max(MIN_STEPS, int(math.ceil(steps)))
+    n = max(MIN_STEPS, int(math.ceil(steps)))
+    if n > MAX_STEPS:
+        count = n if n < 10**15 else f"{n:.3e}"
+        raise NumericalContractError(
+            f"fe0 = {sys.fe0!r} and fe1 = {sys.fe1!r} rad/s over tau = {tau!r} s "
+            f"need {count} steps, above the cap MAX_STEPS = {MAX_STEPS}"
+        )
+    return n
 
 
-def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a):
-    """Off-diagonal entries w_j = <e|H|j> at absolute time(s) t_abs.
+class _Workspace:
+    """Scratch arrays for the stages of a propagator, with room for `size` steps each."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.steps = np.arange(size, dtype=float)  # step index within a chunk
+        self.t_mid = np.empty(size)
+        self.envelope = np.empty(size)
+        self.scratch = np.empty((4, size))
+        self.positive = np.empty(size, dtype=bool)
+        self.weights = np.empty((2, size), dtype=complex)
+        self.unitaries = np.empty((DIM, DIM, size), dtype=complex)
+        half = (size + 1) // 2
+        self.levels = np.empty((2, DIM, DIM, half), dtype=complex)
+        self.row = np.empty((DIM, half), dtype=complex)
+
+
+_local = threading.local()
+
+
+def _workspace(size: int) -> _Workspace:
+    """This thread's workspace, first replaced by a new one if it has room for fewer steps."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.size < size:
+        ws = _local.workspace = _Workspace(size)
+    return ws
+
+
+def _scale(z: np.ndarray, x: np.ndarray) -> None:
+    """z *= x in place, for complex z and real x of the same shape."""
+    np.multiply(z.real, x, out=z.real)
+    np.multiply(z.imag, x, out=z.imag)
+
+
+def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a, out=None):
+    """Off-diagonal entries w_j = <e|H|j> at the absolute times t_abs, as rows of a (2, n) array.
 
     a is the envelope sampled at the same instants on the pulse's own clock
     (t_abs minus the pulse start); the counter-rotating phases run on t_abs.
+    Written into out when it is given.
     """
-    if mode == "full":
-        w0 = drive.c0 * a * (1.0 + np.exp(-2j * sys.fe0 * np.asarray(t_abs, dtype=float)))
-        w1 = drive.c1 * a * (1.0 + np.exp(-2j * sys.fe1 * np.asarray(t_abs, dtype=float)))
-    elif mode == "rwa":
-        w0 = drive.c0 * a + 0j
-        w1 = drive.c1 * a + 0j
-    else:
+    if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return w0, w1
+    w = np.empty((2, len(a)), dtype=complex) if out is None else out
+    for wj, f, c in zip(w, (sys.fe0, sys.fe1), (drive.c0, drive.c1)):
+        if mode == "full":
+            # 1 + exp(-2i f t), through the phase held in the imaginary part
+            np.multiply(t_abs, -2.0 * f, out=wj.imag)
+            np.cos(wj.imag, out=wj.real)
+            np.sin(wj.imag, out=wj.imag)
+            np.add(wj.real, 1.0, out=wj.real)
+        else:
+            wj.fill(1.0)
+        _scale(wj, a)
+        np.multiply(wj, c, out=wj)
+    return w
 
 
 def hamiltonian_at(
@@ -117,7 +185,8 @@ def hamiltonian_at(
     pulse_start: float = 0.0,
 ) -> np.ndarray:
     """3x3 Hermitian Hamiltonian at absolute time t for a pulse starting at pulse_start."""
-    w0, w1 = _coupling_weights(sys, drive, mode, t, drive.envelope.evaluate(t - pulse_start))
+    a = drive.envelope.evaluate(np.array([t - pulse_start]))
+    w0, w1 = _coupling_weights(sys, drive, mode, np.array([t]), a)[:, 0]
     h = np.zeros((DIM, DIM), dtype=complex)
     h[2, 0] = w0
     h[2, 1] = w1
@@ -126,7 +195,7 @@ def hamiltonian_at(
     return h
 
 
-def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float) -> np.ndarray:
+def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float, out=None) -> np.ndarray:
     """exp(-i H_k h) for a batch of coupling-only Hamiltonians, in closed form.
 
     Each H has the single-excitation structure r(|u><e| + |e><u|) with
@@ -134,48 +203,76 @@ def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float) -> np.ndarray:
     rotation by r*h in the {u, e} plane and identity on the orthogonal
     complement. Equivalent to the eigendecomposition route, exact to
     rounding, but vectorizes over all steps. The entries are written into
-    a (3, 3, n) component array and returned as its (n, 3, 3) view, the
-    layout time_ordered_product multiplies without copying.
+    a (3, 3, n) component array (out, when it is given) and returned as its
+    (n, 3, 3) view, the layout time_ordered_product multiplies without
+    copying. Scratch space comes from this thread's workspace.
     """
     n = w0.shape[0]
-    r = np.sqrt(np.abs(w0) ** 2 + np.abs(w1) ** 2)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    u0 = np.where(r > 0.0, np.conj(w0) / safe_r, 0.0)
-    u1 = np.where(r > 0.0, np.conj(w1) / safe_r, 0.0)
-    u0c, u1c = np.conj(u0), np.conj(u1)
-    angle = r * h
-    c = np.cos(angle)
-    minus_i_s = -1j * np.sin(angle)
-    cm1 = c - 1.0
-
-    u = np.empty((DIM, DIM, n), dtype=complex)
-    u[0, 0] = 1.0 + cm1 * (u0 * u0c).real
-    u[0, 1] = cm1 * u0 * u1c
-    u[0, 2] = minus_i_s * u0
-    u[1, 0] = cm1 * u1 * u0c
-    u[1, 1] = 1.0 + cm1 * (u1 * u1c).real
-    u[1, 2] = minus_i_s * u1
-    u[2, 0] = minus_i_s * u0c
-    u[2, 1] = minus_i_s * u1c
-    u[2, 2] = c
+    u = np.empty((DIM, DIM, n), dtype=complex) if out is None else out
+    ws = _workspace(n)
+    r, inv_r, c, s = ws.scratch[:, :n]
+    positive = ws.positive[:n]
+    np.abs(w0, out=r)
+    np.square(r, out=r)
+    np.abs(w1, out=c)
+    np.square(c, out=c)
+    np.add(r, c, out=r)
+    np.sqrt(r, out=r)
+    np.greater(r, 0.0, out=positive)
+    inv_r.fill(0.0)
+    np.divide(1.0, r, out=inv_r, where=positive)
+    # u0 and u1, held in column 2 until the last step (an idle step has u = 0)
+    u_col = u[:2, 2]
+    for uj, wj in zip(u_col, (w0, w1)):
+        np.conjugate(wj, out=uj)
+        _scale(uj, inv_r)
+    np.multiply(r, h, out=r)  # the rotation angle
+    np.cos(r, out=c)
+    np.sin(r, out=s)
+    cm1 = np.subtract(c, 1.0, out=r)
+    # the {0, 1} block: identity + (cos - 1) u u^dagger
+    for j in range(2):
+        d = u[j, j]
+        np.square(u_col[j].real, out=d.real)
+        np.square(u_col[j].imag, out=d.imag)
+        np.add(d.real, d.imag, out=d.real)
+        np.multiply(d.real, cm1, out=d.real)
+        np.add(d.real, 1.0, out=d.real)
+        d.imag.fill(0.0)
+    np.conjugate(u_col[1], out=u[0, 1])
+    np.multiply(u[0, 1], u_col[0], out=u[0, 1])
+    _scale(u[0, 1], cm1)
+    np.conjugate(u[0, 1], out=u[1, 0])
+    # the couplings to |e>: -i sin * u (column 2) and -i sin * conj(u) (row 2)
+    for j in range(2):
+        np.conjugate(u_col[j], out=u[2, j])
+        for z in (u[2, j], u_col[j]):
+            np.multiply(z, -1j, out=z)
+            _scale(z, s)
+    u[2, 2].real = c
+    u[2, 2].imag.fill(0.0)
     return u.transpose(2, 0, 1)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level multiplies adjacent pairs with a 3x3 product unrolled over
-    the inner index, on (3, 3, m) component arrays, so every operation is a
+    While a level has at least _MATMUL_BELOW factors, it multiplies adjacent
+    pairs with a 3x3 product unrolled over the inner index, on (3, 3, m)
+    component arrays in this thread's workspace, so every operation is a
     long vectorized loop; a stack from _step_unitaries is already laid out
-    that way and is not copied. An odd last factor carries to the next level.
+    that way. The shorter levels go to np.matmul. An odd last factor carries
+    to the next level.
     """
-    p = np.ascontiguousarray(unitaries.transpose(1, 2, 0))
-    while p.shape[2] > 1:
+    p = unitaries.transpose(1, 2, 0)
+    ws = _workspace(p.shape[2])
+    level = 0
+    while p.shape[2] >= _MATMUL_BELOW:
         m = p.shape[2]
         k = m // 2
         later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
-        q = np.empty((DIM, DIM, k + m % 2), dtype=complex)
-        tmp = np.empty((DIM, k), dtype=complex)
+        q = ws.levels[level % 2, :, :, : k + m % 2]
+        tmp = ws.row[:, :k]
         for i in range(DIM):
             row = q[i, :, :k]  # row i of every pair product, all columns at once
             np.multiply(later[i, 0], earlier[0], out=row)
@@ -186,7 +283,13 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
         if m % 2:
             q[:, :, k] = p[:, :, m - 1]
         p = q
-    return p[:, :, 0].copy()
+        level += 1
+    stack = p.transpose(2, 0, 1)
+    while len(stack) > 1:
+        m = len(stack)
+        pairs = stack[1:m:2] @ stack[0 : m - 1 : 2]
+        stack = np.concatenate((pairs, stack[m - 1 :])) if m % 2 else pairs
+    return np.array(stack[0])
 
 
 def propagator(
@@ -198,8 +301,10 @@ def propagator(
     """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau].
 
     In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
-    In 'full' mode it is refused unless the steps resolve the envelope: its
-    midpoint-sampled area must match the exact area to PULSE_AREA_TOL (relative).
+    In 'full' mode it is the product of the midpoint steps, built in chunks of
+    at most CHUNK_STEPS steps in this thread's workspace, and it is refused
+    unless the steps resolve the envelope: its midpoint-sampled area must match
+    the exact area to PULSE_AREA_TOL (relative).
     """
     if cfg.mode == "rwa":
         # a unit-weight rotation applied for the pulse area, as one contiguous 3x3
@@ -209,17 +314,27 @@ def propagator(
         tau = drive.envelope.tau
         n = num_steps(sys, tau, cfg)
         h = tau / n
-        t_mid = pulse_start + (np.arange(n) + 0.5) * h
-        a = drive.envelope.evaluate(t_mid - pulse_start)
-        sampled, area = h * float(a.sum()), drive.envelope.area
+        ws = _workspace(min(n, CHUNK_STEPS))
+        u = np.eye(DIM, dtype=complex)
+        sampled = 0.0
+        for first in range(0, n, CHUNK_STEPS):
+            m = min(CHUNK_STEPS, n - first)
+            t_mid, a = ws.t_mid[:m], ws.envelope[:m]
+            np.add(ws.steps[:m], first + 0.5, out=t_mid)
+            np.multiply(t_mid, h, out=t_mid)
+            np.add(t_mid, pulse_start, out=t_mid)
+            np.subtract(t_mid, pulse_start, out=a)
+            drive.envelope.evaluate(a, out=a)
+            sampled += float(a.sum())
+            w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a, out=ws.weights[:, :m])
+            steps = _step_unitaries(w0, w1, h, out=ws.unitaries[:, :, :m])
+            u = time_ordered_product(steps) @ u
+        sampled, area = h * sampled, drive.envelope.area
         if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
             raise NumericalContractError(
                 f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
                 "the envelope is not resolved"
             )
-        w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a)
-        del a, t_mid  # the product below is the memory peak; drop what it does not use
-        u = time_ordered_product(_step_unitaries(w0, w1, h))
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise NumericalContractError(

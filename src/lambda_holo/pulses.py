@@ -27,27 +27,45 @@ _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _AREA_FRACTION = {"parabola": 2.0 / 3.0, "sin2": 0.5, "square": 1.0}
 
 
-def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray:
-    """Unnormalized envelope g(t), zero outside [0, tau]. Vectorized in t."""
+def raw_shape(kind: str, tau: float, width_param: float | None, t, out=None) -> np.ndarray:
+    """Unnormalized envelope g(t), zero outside [0, tau]. Vectorized in t.
+
+    Written into out when it is given (out may be t itself); otherwise into a
+    new array.
+    """
     tv = np.asarray(t, dtype=float)
-    inside = (tv >= 0.0) & (tv <= tau)
-    x = 2.0 * tv / tau - 1.0  # [-1, 1] across the window
+    outside = ~((tv >= 0.0) & (tv <= tau))
+    g = np.empty(tv.shape) if out is None else out
     if kind == "gaussian":
         sigma = width_param * tau * _FWHM_TO_SIGMA  # width_param = FWHM / tau
-        g = np.exp(-((tv - 0.5 * tau) ** 2) / (2.0 * sigma * sigma))
-    elif kind == "sech":
-        # for steep beta cosh overflows to inf in the tails, where 1/inf = 0 is the limit
-        with np.errstate(over="ignore"):
-            g = 1.0 / np.cosh(width_param * np.where(inside, x, 0.0))
-    elif kind == "parabola":
-        g = 1.0 - x * x
+        np.subtract(tv, 0.5 * tau, out=g)
+        np.square(g, out=g)
+        np.divide(g, -(2.0 * sigma * sigma), out=g)
+        np.exp(g, out=g)
+    elif kind in ("sech", "parabola"):
+        np.multiply(tv, 2.0, out=g)  # x = 2t/tau - 1 runs over [-1, 1] across the window
+        np.divide(g, tau, out=g)
+        np.subtract(g, 1.0, out=g)
+        if kind == "sech":
+            # for steep beta cosh overflows to inf in the tails, where 1/inf = 0 is the limit
+            with np.errstate(over="ignore"):
+                np.multiply(g, width_param, out=g)
+                np.cosh(g, out=g)
+            np.divide(1.0, g, out=g)
+        else:
+            np.square(g, out=g)
+            np.subtract(1.0, g, out=g)
     elif kind == "sin2":
-        g = np.sin(np.pi * tv / tau) ** 2
+        np.multiply(tv, np.pi, out=g)
+        np.divide(g, tau, out=g)
+        np.sin(g, out=g)
+        np.square(g, out=g)
     elif kind == "square":
-        g = np.ones_like(tv)
+        g.fill(1.0)
     else:
         raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
-    return np.where(inside, g, 0.0)
+    np.copyto(g, 0.0, where=outside)
+    return g
 
 
 def shape_area(kind: str, tau: float, width_param: float | None) -> float:
@@ -74,9 +92,10 @@ class Envelope:
     width_param: float | None
     amplitude: float
 
-    def evaluate(self, t) -> np.ndarray:
-        """A * g(t); zero outside [0, tau]."""
-        return self.amplitude * raw_shape(self.kind, self.tau, self.width_param, t)
+    def evaluate(self, t, out=None) -> np.ndarray:
+        """A * g(t); zero outside [0, tau]. Written into out when it is given (out may be t)."""
+        g = raw_shape(self.kind, self.tau, self.width_param, t, out)
+        return np.multiply(g, self.amplitude, out=out)
 
     @property
     def area(self) -> float:
@@ -108,16 +127,23 @@ def envelope(
         width = sech_beta
     else:
         width = None
+    # raw_shape divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
+    # needs no check: the area is at most sigma sqrt(2 pi), so a finite 4 A^2 (below)
+    # forces 2 sigma^2 >= 4 pi / DBL_MAX
+    if kind == "gaussian":
+        sigma = width * tau * _FWHM_TO_SIGMA
+        if not 2.0 * sigma * sigma < math.inf:
+            raise ValueError(
+                f"a gaussian envelope of duration {tau!r} s is not representable: its width, "
+                f"fwhm_fraction = {fwhm_fraction!r} of the duration, is out of floating-point range"
+            )
     area = shape_area(kind, tau, width)
     amplitude = math.pi / area if area > 0.0 else math.inf
-    # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite; raw_shape divides
-    # by a Gaussian's 2 sigma^2, which must be finite. Its lower side needs no check: the
-    # area is at most sigma sqrt(2 pi), so a finite 4 A^2 forces 2 sigma^2 >= 4 pi / DBL_MAX
-    sigma = width * tau * _FWHM_TO_SIGMA if kind == "gaussian" else 1.0
-    if not (math.isfinite(4.0 * amplitude * amplitude) and 2.0 * sigma * sigma < math.inf):
+    # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite
+    if not math.isfinite(4.0 * amplitude * amplitude):
         raise ValueError(
             f"a {kind} envelope of duration {tau!r} s is not representable: "
-            "its amplitude or shape is out of floating-point range"
+            "its amplitude is out of floating-point range"
         )
     return Envelope(kind=kind, tau=tau, width_param=width, amplitude=amplitude)
 

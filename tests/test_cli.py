@@ -229,6 +229,15 @@ def test_unrepresentable_duration_exits_2(tau_ns, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_out_of_range_gaussian_width_exits_2(tmp_path, capsys):
+    # a 40 ns pulse is representable; a FWHM of 1e300 times it is not
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--fwhm-fraction", "1e300", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "fwhm_fraction = 1e+300 of the duration" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["full", "rwa"])
 @pytest.mark.parametrize("kind", ENVELOPE_KINDS)
 def test_overflowing_step_weight_exits_2(kind, mode, tmp_path, capsys):
@@ -286,6 +295,21 @@ def test_unbounded_step_count_exits_1(options, tmp_path, capsys):
     assert code == 1
     assert "need a step count beyond floating-point range" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fe0,count", [("1e14", "need 50929582 steps"), ("1e200", "need 5.093e+193 steps")]
+)
+def test_step_count_above_cap_exits_1(fe0, count, tmp_path, capsys):
+    # finite counts that would take minutes to years to step through are refused up front
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--fe0", fe0, "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"{count}, above the cap MAX_STEPS = 10000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    code, _ = run_cli(["run", "--mode", "rwa", "--fe0", fe0], tmp_path)
+    assert code == 0
 
 
 @pytest.mark.parametrize("options", UNBOUNDED_STEP_COUNTS, ids=["fe-1e308", "square-1e306"])

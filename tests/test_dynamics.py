@@ -1,15 +1,21 @@
 import math
+import threading
 from dataclasses import replace
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 
 from lambda_holo import dynamics
 from lambda_holo.dynamics import (
+    CHUNK_STEPS,
+    MAX_STEPS,
     MIN_STEPS,
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
+    _MATMUL_BELOW,
+    _coupling_weights,
     _step_unitaries,
     hamiltonian_at,
     num_steps,
@@ -27,7 +33,13 @@ from lambda_holo.gates import (
     ideal_gate,
 )
 from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, envelope
-from lambda_holo.qstate import KET_0, expm_unitary, hermitian_defect, overlap
+from lambda_holo.qstate import (
+    KET_0,
+    NumericalContractError,
+    expm_unitary,
+    hermitian_defect,
+    overlap,
+)
 
 NS = 1e-9
 RNG = np.random.default_rng(8271)
@@ -133,6 +145,17 @@ def test_step_unitaries_match_eigendecomposition_route():
         assert np.abs(batch[k] - expm_unitary(m, h)).max() < 1e-12
 
 
+def test_idle_step_reads_no_stale_scratch():
+    # an idle step (w = 0) is the identity whatever this thread's workspace held before
+    dynamics._workspace(4).scratch.fill(np.nan)
+    w0 = np.array([0.0, 1.0 + 2.0j, 0.0, 0.0])
+    w1 = np.array([0.0, -0.5j, 0.0, 3.0])
+    batch = _step_unitaries(w0, w1, 0.3)
+    for k in (0, 2):
+        assert np.array_equal(batch[k], np.eye(3))
+    assert np.isfinite(batch).all()
+
+
 def test_time_ordered_product_ordering():
     us = _step_unitaries(
         RNG.normal(size=5) + 1j * RNG.normal(size=5),
@@ -145,9 +168,12 @@ def test_time_ordered_product_ordering():
     assert np.abs(time_ordered_product(us) - sequential).max() < 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 7, 64, _MATMUL_BELOW - 1, _MATMUL_BELOW, _MATMUL_BELOW + 1, 1001]
+)
 def test_time_ordered_product_matches_sequential_loop(n):
-    # odd counts leave a carried factor at one or more levels of the reduction
+    # odd counts leave a carried factor at one or more levels of the reduction;
+    # levels below _MATMUL_BELOW factors go to np.matmul
     us = _step_unitaries(
         RNG.normal(size=n) + 1j * RNG.normal(size=n),
         RNG.normal(size=n) + 1j * RNG.normal(size=n),
@@ -158,6 +184,83 @@ def test_time_ordered_product_matches_sequential_loop(n):
         sequential = u @ sequential
     for stack in (us, np.ascontiguousarray(us)):  # component view and plain (n, 3, 3) stack
         assert np.abs(time_ordered_product(stack) - sequential).max() < 1e-13
+
+
+def system_for_steps(n, tau=40 * NS):
+    """A system whose default full-mode step count over tau is n (n >= MIN_STEPS)."""
+    f = (n - 0.5) * 2 * math.pi / (PropagationConfig().steps_per_cycle * tau * 2)
+    return LambdaSystem(f, 0.9 * f)
+
+
+@pytest.mark.parametrize(
+    "n", [MIN_STEPS, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
+)
+def test_chunked_propagator_matches_whole_stack(n):
+    # the chunk loop against one product over all n midpoints at once
+    tau = 40 * NS
+    sys = system_for_steps(n, tau)
+    cfg = PropagationConfig()
+    assert num_steps(sys, tau, cfg) == n
+    drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", tau))
+    h = tau / n
+    for start in (0.0, 37 * NS):
+        t_mid = start + (np.arange(n) + 0.5) * h
+        a = drive.envelope.evaluate(t_mid - start)
+        w0, w1 = _coupling_weights(sys, drive, "full", t_mid, a)
+        whole = time_ordered_product(_step_unitaries(w0, w1, h))
+        assert np.abs(propagator(sys, drive, cfg, pulse_start=start) - whole).max() < 1e-13
+
+
+def test_concurrent_builds_match_sequential_builds():
+    # every thread has its own workspace, so builds that interleave give the same bits
+    tau = 40 * NS
+    cfg = PropagationConfig()
+    jobs = [
+        (system_for_steps(n, tau), drive_for_gate(gate, envelope(kind, tau)), start)
+        for n, gate, kind, start in (
+            (MIN_STEPS, NOT_GATE, "gaussian", 0.0),
+            (CHUNK_STEPS + 1, HADAMARD_GATE, "sin2", 40 * NS),
+            (2 * CHUNK_STEPS + 1, NOT_GATE, "sech", 0.0),
+            (CHUNK_STEPS - 1, HADAMARD_GATE, "square", 13 * NS),
+        )
+    ]
+    expected = [propagator(sys, drive, cfg, pulse_start=start) for sys, drive, start in jobs]
+    results = {}
+
+    def build(i):
+        sys, drive, start = jobs[i]
+        results[i] = [propagator(sys, drive, cfg, pulse_start=start) for _ in range(3)]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(len(jobs))]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert len(results[i]) == 3
+        for got in results[i]:
+            assert np.array_equal(got, want)
+
+
+def test_step_cap_refuses_before_building(monkeypatch):
+    def no_workspace(size):
+        raise AssertionError("a refused step count builds no arrays")
+
+    tau = 40 * NS
+    cfg = PropagationConfig()
+    assert num_steps(system_for_steps(MAX_STEPS, tau), tau, cfg) == MAX_STEPS
+    over = system_for_steps(MAX_STEPS + 1, tau)
+    # the RWA propagator has no step grid, so no cap
+    assert propagator(over, gaussian_drive(), PropagationConfig(mode="rwa")).shape == (3, 3)
+    monkeypatch.setattr(dynamics, "_workspace", no_workspace)
+    with pytest.raises(NumericalContractError, match=f"need {MAX_STEPS + 1} steps, above the cap"):
+        propagator(over, gaussian_drive(), cfg)
 
 
 def test_rwa_pulse_realizes_ideal_gate():

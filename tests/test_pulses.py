@@ -20,7 +20,8 @@ DURATIONS_NS = (2.5, 10.0, 40.0, 100.0)
 def reference_area(env, points=2**20):
     """Independent quadrature route (dense trapezoid, not Simpson)."""
     t = np.linspace(0.0, env.tau, points + 1)
-    return np.trapezoid(env.evaluate(t), t)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 names it trapz
+    return trapezoid(env.evaluate(t), t)
 
 
 def test_square_amplitude():

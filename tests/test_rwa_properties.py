@@ -1,7 +1,8 @@
 """Property tests of the propagator.
 
 Under the RWA a pi-area pulse of any shape and duration is the ideal gate; in
-full mode every accepted pulse builds a unitary propagator that keeps the norm.
+full mode every accepted pulse builds a unitary propagator that keeps the norm,
+and its bits do not depend on what the thread's workspace held before.
 """
 
 import math
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from lambda_holo.dynamics import TRANSMON, LambdaSystem, PropagationConfig, propagator
+from lambda_holo.dynamics import (
+    CHUNK_STEPS,
+    MIN_STEPS,
+    TRANSMON,
+    LambdaSystem,
+    PropagationConfig,
+    num_steps,
+    propagator,
+)
 from lambda_holo.gates import INPUT_STATES, GateSpec, drive_for_gate, gate_outcome
 from lambda_holo.pulses import ENVELOPE_KINDS, envelope
 from lambda_holo.qstate import NORM_TOL, UNITARY_TOL, unitarity_defect
@@ -54,3 +63,37 @@ def test_full_propagator_is_unitary(kind, tau_ns, scale, theta, phi, label):
     u = propagator(sys, drive, PropagationConfig())
     assert unitarity_defect(u) <= UNITARY_TOL
     assert abs(np.linalg.norm(u @ INPUT_STATES[label]) - 1.0) <= NORM_TOL
+
+
+SEAM_STEPS = [MIN_STEPS, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
+TAU = 40e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    builds=st.lists(
+        st.tuples(
+            st.sampled_from(SEAM_STEPS) | st.integers(MIN_STEPS, 2 * CHUNK_STEPS + 1),
+            st.sampled_from(ENVELOPE_KINDS),
+            st.floats(min_value=0.0, max_value=math.pi),
+            st.floats(min_value=0.0, max_value=TAU),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_full_propagator_does_not_depend_on_build_order(builds, data):
+    # a workspace kept from an earlier, larger build must not leak into a later one
+    cfg = PropagationConfig()
+    jobs = []
+    for n, kind, theta, start in builds:
+        f = (n - 0.5) * 2 * math.pi / (cfg.steps_per_cycle * TAU * 2)
+        sys = LambdaSystem(f, 0.9 * f)
+        assert num_steps(sys, TAU, cfg) == n
+        drive = drive_for_gate(GateSpec(theta=theta, phi=0.3), envelope(kind, TAU))
+        jobs.append((sys, drive, start))
+    order = data.draw(st.permutations(range(len(jobs))))
+    first = {i: propagator(jobs[i][0], jobs[i][1], cfg, jobs[i][2]) for i in order}
+    for i in reversed(order):
+        assert np.array_equal(propagator(jobs[i][0], jobs[i][1], cfg, jobs[i][2]), first[i])
