@@ -10,12 +10,17 @@ with a midpoint-exponential scheme: each step applies exp(-i H(t_mid) h),
 which is unconditionally unitary, so the only discretization error is the
 commutator truncation controlled by the step count.
 
-A full-mode propagator is built in chunks of at most CHUNK_STEPS steps: each
-chunk's midpoints, envelope samples, coupling weights, step unitaries and
-their product are written into one workspace per thread, which is kept and
-reused across chunks and calls, and the chunk's product is folded into the
-3x3 result. Memory is therefore bounded by the chunk, not by the step count;
-MAX_STEPS bounds the time.
+A full-mode propagator is built in chunks of at most CHUNK_STEPS steps. A
+first pass samples the envelope at every midpoint and refuses the pulse if
+the sampled area misses the exact one, before any step is built. Then each
+chunk's envelope samples, coupling weights, step unitaries and their product
+are written into one workspace per thread, which is kept and reused across
+chunks and calls, and the chunk's product is folded into the 3x3 result.
+Memory is therefore bounded by the chunk, not by the step count; MAX_STEPS
+bounds the time. The midpoints lie on a uniform grid t_k = t0 + k h, so the
+carrier phases exp(-2i f t_k) of a chunk of m steps come from a table of
+B + ceil(m / B) complex exponentials per tone (B = _PHASE_BLOCK), at one
+complex multiply per step.
 """
 
 from __future__ import annotations
@@ -66,8 +71,12 @@ MIN_STEPS = 2000
 MAX_STEPS = 10_000_000
 
 # Steps per chunk of a full-mode propagator, chosen from fig1-scan benchmark runs
-# (CHANGES.md). The per-thread workspace holds this many steps, about 0.4 kB each.
+# (CHANGES.md). The per-thread workspace holds this many steps, 393 B each.
 CHUNK_STEPS = 16384
+
+# Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
+# outer[q] * inner[r], with outer[q] = exp(-2i f (t0 + q B h)) and inner[r] = exp(-2i f r h).
+_PHASE_BLOCK = 128
 
 # A pairwise-product level with fewer matrices than this is multiplied with
 # np.matmul, where the unrolled kernel's fixed per-level cost dominates.
@@ -125,7 +134,6 @@ class _Workspace:
     def __init__(self, size: int):
         self.size = size
         self.steps = np.arange(size, dtype=float)  # step index within a chunk
-        self.t_mid = np.empty(size)
         self.envelope = np.empty(size)
         self.scratch = np.empty((4, size))
         self.positive = np.empty(size, dtype=bool)
@@ -153,27 +161,36 @@ def _scale(z: np.ndarray, x: np.ndarray) -> None:
     np.multiply(z.imag, x, out=z.imag)
 
 
-def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t_abs, a, out=None):
-    """Off-diagonal entries w_j = <e|H|j> at the absolute times t_abs, as rows of a (2, n) array.
+def _coupling_weights(
+    sys: LambdaSystem, drive: DriveSpec, mode: str, t0: float, h: float, a, out=None
+):
+    """Off-diagonal entries w_j = <e|H|j> at the times t0 + k h, as rows of a (2, n) array.
 
-    a is the envelope sampled at the same instants on the pulse's own clock
-    (t_abs minus the pulse start); the counter-rotating phases run on t_abs.
+    a holds the envelope sampled at those n instants on the pulse's own clock;
+    the counter-rotating phases run on the absolute clock of t0 and come from
+    the _PHASE_BLOCK table, to within a few ulp of the largest |2 f t|.
     Written into out when it is given.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    w = np.empty((2, len(a)), dtype=complex) if out is None else out
+    n = len(a)
+    w = np.empty((2, n), dtype=complex) if out is None else out
+    blocks, tail = divmod(n, _PHASE_BLOCK)
+    body = blocks * _PHASE_BLOCK
     for wj, f, c in zip(w, (sys.fe0, sys.fe1), (drive.c0, drive.c1)):
         if mode == "full":
-            # 1 + exp(-2i f t), through the phase held in the imaginary part
-            np.multiply(t_abs, -2.0 * f, out=wj.imag)
-            np.cos(wj.imag, out=wj.real)
-            np.sin(wj.imag, out=wj.imag)
-            np.add(wj.real, 1.0, out=wj.real)
+            # c (1 + exp(-2i f t)), with c exp(-2i f t) = (c outer[q]) * inner[r]
+            inner = np.exp(-2j * f * (h * np.arange(min(n, _PHASE_BLOCK))))
+            outer = np.exp(-2j * f * (t0 + _PHASE_BLOCK * h * np.arange(blocks + (tail > 0))))
+            outer *= c
+            if blocks:
+                np.multiply(outer[:blocks, None], inner, out=wj[:body].reshape(blocks, -1))
+            if tail:
+                np.multiply(outer[blocks], inner[:tail], out=wj[body:])
+            np.add(wj, c, out=wj)
         else:
-            wj.fill(1.0)
+            wj.fill(c)
         _scale(wj, a)
-        np.multiply(wj, c, out=wj)
     return w
 
 
@@ -186,7 +203,7 @@ def hamiltonian_at(
 ) -> np.ndarray:
     """3x3 Hermitian Hamiltonian at absolute time t for a pulse starting at pulse_start."""
     a = drive.envelope.evaluate(np.array([t - pulse_start]))
-    w0, w1 = _coupling_weights(sys, drive, mode, np.array([t]), a)[:, 0]
+    w0, w1 = _coupling_weights(sys, drive, mode, t, 0.0, a)[:, 0]
     h = np.zeros((DIM, DIM), dtype=complex)
     h[2, 0] = w0
     h[2, 1] = w1
@@ -292,6 +309,14 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     return np.array(stack[0])
 
 
+def _midpoint_envelope(drive: DriveSpec, first: int, m: int, h: float, ws: _Workspace):
+    """The envelope at the midpoints (k + 0.5) h of steps k = first, ..., first + m - 1, in ws."""
+    a = ws.envelope[:m]
+    np.add(ws.steps[:m], first + 0.5, out=a)
+    np.multiply(a, h, out=a)
+    return drive.envelope.evaluate(a, out=a)
+
+
 def propagator(
     sys: LambdaSystem,
     drive: DriveSpec,
@@ -315,26 +340,22 @@ def propagator(
         n = num_steps(sys, tau, cfg)
         h = tau / n
         ws = _workspace(min(n, CHUNK_STEPS))
-        u = np.eye(DIM, dtype=complex)
-        sampled = 0.0
-        for first in range(0, n, CHUNK_STEPS):
-            m = min(CHUNK_STEPS, n - first)
-            t_mid, a = ws.t_mid[:m], ws.envelope[:m]
-            np.add(ws.steps[:m], first + 0.5, out=t_mid)
-            np.multiply(t_mid, h, out=t_mid)
-            np.add(t_mid, pulse_start, out=t_mid)
-            np.subtract(t_mid, pulse_start, out=a)
-            drive.envelope.evaluate(a, out=a)
-            sampled += float(a.sum())
-            w0, w1 = _coupling_weights(sys, drive, cfg.mode, t_mid, a, out=ws.weights[:, :m])
-            steps = _step_unitaries(w0, w1, h, out=ws.unitaries[:, :, :m])
-            u = time_ordered_product(steps) @ u
+        chunks = [(first, min(CHUNK_STEPS, n - first)) for first in range(0, n, CHUNK_STEPS)]
+        # the area check comes before any step is built; a one-chunk pulse keeps its samples
+        sampled = sum(float(_midpoint_envelope(drive, *chunk, h, ws).sum()) for chunk in chunks)
         sampled, area = h * sampled, drive.envelope.area
         if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
             raise NumericalContractError(
                 f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
                 "the envelope is not resolved"
             )
+        u = np.eye(DIM, dtype=complex)
+        for first, m in chunks:
+            a = ws.envelope[:m] if len(chunks) == 1 else _midpoint_envelope(drive, first, m, h, ws)
+            t0 = pulse_start + (first + 0.5) * h
+            w0, w1 = _coupling_weights(sys, drive, cfg.mode, t0, h, a, out=ws.weights[:, :m])
+            steps = _step_unitaries(w0, w1, h, out=ws.unitaries[:, :, :m])
+            u = time_ordered_product(steps) @ u
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise NumericalContractError(

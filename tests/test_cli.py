@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from lambda_holo import dynamics
 from lambda_holo.cli import RunConfig, build_parser, config_from_args, main
 from lambda_holo.pulses import ENVELOPE_KINDS
 
@@ -278,6 +279,19 @@ def test_unresolved_envelope_exits_1(tmp_path, capsys):
     code = main(["run", "--fwhm-fraction", "1e-6", "-o", str(tmp_path / "x.csv")])
     assert code == 1
     assert "envelope is not resolved" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unresolved_envelope_exits_1_before_stepping(tmp_path, capsys, monkeypatch):
+    # 1,018,592 steps: the sampled area is refused before any of them is built
+    def no_steps(*args, **kwargs):
+        raise AssertionError("an unresolved envelope builds no steps")
+
+    monkeypatch.setattr(dynamics, "_step_unitaries", no_steps)
+    args = ["run", "--fe0", "2e12", "--fwhm-fraction", "1e-7"]
+    code = main(args + ["-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "1018592 steps" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

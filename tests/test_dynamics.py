@@ -15,6 +15,7 @@ from lambda_holo.dynamics import (
     PropagationConfig,
     TRANSMON,
     _MATMUL_BELOW,
+    _PHASE_BLOCK,
     _coupling_weights,
     _step_unitaries,
     hamiltonian_at,
@@ -32,7 +33,7 @@ from lambda_holo.gates import (
     drive_for_gate,
     ideal_gate,
 )
-from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, envelope
+from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, envelope
 from lambda_holo.qstate import (
     KET_0,
     NumericalContractError,
@@ -130,6 +131,31 @@ def test_pulse_start_separates_envelope_and_phase_clocks():
     assert rwa_shifted[2, 0] == pytest.approx(rwa_base[2, 0], rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 5]
+)
+@pytest.mark.parametrize("t0", [0.0, 37 * NS, 10_000 * NS])
+def test_phase_table_matches_per_step_phases(n, t0):
+    # the outer[q] * inner[r] table against exp(-2i f t_k) taken step by step; at
+    # t0 = 10 us the phases 2 fe0 t reach 1.0e6 rad
+    drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
+    h = 40 * NS / 25876
+    a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, n)
+    w = _coupling_weights(TRANSMON, drive, "full", t0, h, a)
+    for wj, f, c in zip(w, (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
+        want = np.array([c * a[k] * (1.0 + np.exp(-2j * f * (t0 + k * h))) for k in range(n)])
+        # bound fixed from float64 beforehand: each side rounds the phase to about an ulp
+        # of the largest |2 f t|, and the unit phasors and the products with c and a add a
+        # few eps; 4 ulp of max(|2 f t|, 4) covers both, as ulp(4) = 4 eps
+        phase_max = 2.0 * f * (t0 + n * h)
+        tol = 4 * np.spacing(max(phase_max, 4.0)) * abs(c) * a.max()
+        assert np.abs(wj - want).max() <= tol
+    # at f = 0 the factor is exactly 1 + 1
+    w = _coupling_weights(LambdaSystem(0.0, 0.0), drive, "full", t0, h, a)
+    for wj, c in zip(w, (drive.c0, drive.c1)):
+        assert np.array_equal(wj, 2 * c * a)
+
+
 def test_step_unitaries_match_eigendecomposition_route():
     # closed-form batch exponential vs the generic Hermitian route
     n = 64
@@ -206,7 +232,7 @@ def test_chunked_propagator_matches_whole_stack(n):
     for start in (0.0, 37 * NS):
         t_mid = start + (np.arange(n) + 0.5) * h
         a = drive.envelope.evaluate(t_mid - start)
-        w0, w1 = _coupling_weights(sys, drive, "full", t_mid, a)
+        w0, w1 = _coupling_weights(sys, drive, "full", start + 0.5 * h, h, a)
         whole = time_ordered_product(_step_unitaries(w0, w1, h))
         assert np.abs(propagator(sys, drive, cfg, pulse_start=start) - whole).max() < 1e-13
 
@@ -261,6 +287,45 @@ def test_step_cap_refuses_before_building(monkeypatch):
     monkeypatch.setattr(dynamics, "_workspace", no_workspace)
     with pytest.raises(NumericalContractError, match=f"need {MAX_STEPS + 1} steps, above the cap"):
         propagator(over, gaussian_drive(), cfg)
+
+
+@pytest.mark.parametrize("sys", [LambdaSystem(0.0, 0.0), LambdaSystem(2e12, TRANSMON.fe1)])
+def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
+    # one chunk (the MIN_STEPS floor) and 63 chunks: the area is checked before any
+    # weights or unitaries are built
+    def no_steps(*args, **kwargs):
+        raise AssertionError("an unresolved envelope builds no steps")
+
+    monkeypatch.setattr(dynamics, "_coupling_weights", no_steps)
+    monkeypatch.setattr(dynamics, "_step_unitaries", no_steps)
+    drive = drive_for_gate(NOT_GATE, envelope("gaussian", 40 * NS, fwhm_fraction=1e-7))
+    with pytest.raises(NumericalContractError, match="the envelope is not resolved"):
+        propagator(sys, drive, PropagationConfig())
+
+
+@pytest.mark.parametrize(
+    "n,sampled",
+    [
+        (MIN_STEPS, [MIN_STEPS]),
+        (CHUNK_STEPS, [CHUNK_STEPS]),
+        (CHUNK_STEPS + 1, [CHUNK_STEPS, 1, CHUNK_STEPS, 1]),
+    ],
+)
+def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
+    # a one-chunk pulse steps with the samples of its area check; a longer one samples
+    # each chunk again, since the workspace holds one chunk
+    calls = []
+    evaluate = Envelope.evaluate
+
+    def counted(self, t, out=None):
+        calls.append(len(t))
+        return evaluate(self, t, out)
+
+    monkeypatch.setattr(Envelope, "evaluate", counted)
+    tau = 40 * NS
+    drive = drive_for_gate(NOT_GATE, envelope("sin2", tau))
+    propagator(system_for_steps(n, tau), drive, PropagationConfig())
+    assert calls == sampled
 
 
 def test_rwa_pulse_realizes_ideal_gate():

@@ -2,10 +2,12 @@
 
 Under the RWA a pi-area pulse of any shape and duration is the ideal gate; in
 full mode every accepted pulse builds a unitary propagator that keeps the norm,
-and its bits do not depend on what the thread's workspace held before.
+and its bits do not depend on what the thread's workspace held before. At zero
+transition frequencies full mode is the RWA at twice the amplitude.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +32,7 @@ from lambda_holo.pulses import ENVELOPE_KINDS, envelope
 from lambda_holo.qstate import NORM_TOL, UNITARY_TOL, unitarity_defect
 
 RWA = PropagationConfig(mode="rwa")
+ZERO = LambdaSystem(0.0, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,6 +66,32 @@ def test_full_propagator_is_unitary(kind, tau_ns, scale, theta, phi, label):
     u = propagator(sys, drive, PropagationConfig())
     assert unitarity_defect(u) <= UNITARY_TOL
     assert abs(np.linalg.norm(u @ INPUT_STATES[label]) - 1.0) <= NORM_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(ENVELOPE_KINDS),
+    log10_tau_ns=st.floats(min_value=-3.0, max_value=3.0),
+    theta=st.floats(min_value=0.0, max_value=math.pi),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    label=st.sampled_from(sorted(INPUT_STATES)),
+)
+def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, theta, phi, label):
+    # 1 + exp(-2i 0 t) = 2: the steps commute and multiply to exp(-i 2 h sum(a_k) K), the
+    # RWA rotation at twice the amplitude up to the midpoint residue of the area
+    gate = GateSpec(theta=theta, phi=phi)
+    env = envelope(kind, 10.0**log10_tau_ns * 1e-9)
+    full = propagator(ZERO, drive_for_gate(gate, env), PropagationConfig()) @ INPUT_STATES[label]
+    n = num_steps(ZERO, env.tau, PropagationConfig())
+    h = env.tau / n
+    sampled = h * env.evaluate((np.arange(n) + 0.5) * h).sum()
+    for amplitude, tol in (
+        (2 * env.amplitude, 2 * abs(sampled - env.area) + 1e-12),
+        (2 * env.amplitude * sampled / env.area, 1e-12),
+    ):
+        doubled = drive_for_gate(gate, replace(env, amplitude=amplitude))
+        rwa = propagator(ZERO, doubled, RWA) @ INPUT_STATES[label]
+        assert np.abs(full - rwa).max() <= tol
 
 
 SEAM_STEPS = [MIN_STEPS, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
