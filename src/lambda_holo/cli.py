@@ -112,6 +112,8 @@ def _fig1_durations_ns(cfg: RunConfig) -> np.ndarray:
     for option, value in (("--tau-min-ns", cfg.tau_min_ns), ("--tau-max-ns", cfg.tau_max_ns)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{option} must be positive and finite, got {value!r}")
+    if cfg.points < 0:
+        raise ValueError(f"--points must be >= 0, got {cfg.points!r}")
     return sweeps.fig1_default_durations_ns(points=cfg.points, lo=cfg.tau_min_ns, hi=cfg.tau_max_ns)
 
 

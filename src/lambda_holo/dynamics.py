@@ -13,14 +13,15 @@ commutator truncation controlled by the step count.
 A full-mode propagator is built in chunks of at most CHUNK_STEPS steps. A
 first pass samples the envelope at every midpoint and refuses the pulse if
 the sampled area misses the exact one, before any step is built. Then each
-chunk's envelope samples, coupling weights, step unitaries and their product
-are written into one workspace per thread, which is kept and reused across
-chunks and calls, and the chunk's product is folded into the 3x3 result.
-Memory is therefore bounded by the chunk, not by the step count; MAX_STEPS
-bounds the time. The midpoints lie on a uniform grid t_k = t0 + k h, so the
-carrier phases exp(-2i f t_k) of a chunk of m steps come from a table of
-B + ceil(m / B) complex exponentials per tone (B = _PHASE_BLOCK), at one
-complex multiply per step.
+chunk's envelope samples and coupling weights are computed, its step
+unitaries are written into one workspace per thread and multiplied there,
+and the chunk's product is folded into the 3x3 result. The workspace holds
+only the step-unitary stack and the product's levels (312 B per step) and
+is kept across chunks and calls. Memory is therefore bounded by the chunk,
+not by the step count; MAX_STEPS bounds the time. The midpoints lie on a
+uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a
+chunk of m steps come from a table of B + ceil(m / B) complex exponentials
+per tone (B = _PHASE_BLOCK), at one complex multiply per step.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ MIN_STEPS = 2000
 MAX_STEPS = 10_000_000
 
 # Steps per chunk of a full-mode propagator, chosen from fig1-scan benchmark runs
-# (CHANGES.md). The per-thread workspace holds this many steps, 393 B each.
+# (CHANGES.md). The per-thread workspace holds this many steps, 312 B each.
 CHUNK_STEPS = 16384
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
@@ -129,15 +130,10 @@ def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
 
 
 class _Workspace:
-    """Scratch arrays for the stages of a propagator, with room for `size` steps each."""
+    """The step-unitary stack and the product's level buffers, with room for `size` steps."""
 
     def __init__(self, size: int):
         self.size = size
-        self.steps = np.arange(size, dtype=float)  # step index within a chunk
-        self.envelope = np.empty(size)
-        self.scratch = np.empty((4, size))
-        self.positive = np.empty(size, dtype=bool)
-        self.weights = np.empty((2, size), dtype=complex)
         self.unitaries = np.empty((DIM, DIM, size), dtype=complex)
         half = (size + 1) // 2
         self.levels = np.empty((2, DIM, DIM, half), dtype=complex)
@@ -148,10 +144,16 @@ _local = threading.local()
 
 
 def _workspace(size: int) -> _Workspace:
-    """This thread's workspace, first replaced by a new one if it has room for fewer steps."""
+    """A workspace with room for `size` steps: this thread's kept one when it is large enough.
+
+    A new workspace replaces the kept one only if it has room for at most
+    CHUNK_STEPS steps, so what a thread keeps stays bounded.
+    """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
-        ws = _local.workspace = _Workspace(size)
+        ws = _Workspace(size)
+        if size <= CHUNK_STEPS:
+            _local.workspace = ws
     return ws
 
 
@@ -161,20 +163,17 @@ def _scale(z: np.ndarray, x: np.ndarray) -> None:
     np.multiply(z.imag, x, out=z.imag)
 
 
-def _coupling_weights(
-    sys: LambdaSystem, drive: DriveSpec, mode: str, t0: float, h: float, a, out=None
-):
+def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t0: float, h: float, a):
     """Off-diagonal entries w_j = <e|H|j> at the times t0 + k h, as rows of a (2, n) array.
 
     a holds the envelope sampled at those n instants on the pulse's own clock;
     the counter-rotating phases run on the absolute clock of t0 and come from
     the _PHASE_BLOCK table, to within a few ulp of the largest |2 f t|.
-    Written into out when it is given.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = len(a)
-    w = np.empty((2, n), dtype=complex) if out is None else out
+    w = np.empty((2, n), dtype=complex)
     blocks, tail = divmod(n, _PHASE_BLOCK)
     body = blocks * _PHASE_BLOCK
     for wj, f, c in zip(w, (sys.fe0, sys.fe1), (drive.c0, drive.c1)):
@@ -222,22 +221,17 @@ def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float, out=None) -> np.nd
     rounding, but vectorizes over all steps. The entries are written into
     a (3, 3, n) component array (out, when it is given) and returned as its
     (n, 3, 3) view, the layout time_ordered_product multiplies without
-    copying. Scratch space comes from this thread's workspace.
+    copying.
     """
     n = w0.shape[0]
     u = np.empty((DIM, DIM, n), dtype=complex) if out is None else out
-    ws = _workspace(n)
-    r, inv_r, c, s = ws.scratch[:, :n]
-    positive = ws.positive[:n]
-    np.abs(w0, out=r)
+    r = np.abs(w0)
     np.square(r, out=r)
-    np.abs(w1, out=c)
+    c = np.abs(w1)
     np.square(c, out=c)
     np.add(r, c, out=r)
     np.sqrt(r, out=r)
-    np.greater(r, 0.0, out=positive)
-    inv_r.fill(0.0)
-    np.divide(1.0, r, out=inv_r, where=positive)
+    inv_r = np.divide(1.0, r, out=np.zeros(n), where=r > 0.0)
     # u0 and u1, held in column 2 until the last step (an idle step has u = 0)
     u_col = u[:2, 2]
     for uj, wj in zip(u_col, (w0, w1)):
@@ -245,7 +239,7 @@ def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float, out=None) -> np.nd
         _scale(uj, inv_r)
     np.multiply(r, h, out=r)  # the rotation angle
     np.cos(r, out=c)
-    np.sin(r, out=s)
+    s = np.sin(r)
     cm1 = np.subtract(c, 1.0, out=r)
     # the {0, 1} block: identity + (cos - 1) u u^dagger
     for j in range(2):
@@ -278,8 +272,9 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     pairs with a 3x3 product unrolled over the inner index, on (3, 3, m)
     component arrays in this thread's workspace, so every operation is a
     long vectorized loop; a stack from _step_unitaries is already laid out
-    that way. The shorter levels go to np.matmul. An odd last factor carries
-    to the next level.
+    that way. A stack of more than CHUNK_STEPS factors gets level buffers
+    that are not kept. The shorter levels go to np.matmul. An odd last
+    factor carries to the next level.
     """
     p = unitaries.transpose(1, 2, 0)
     ws = _workspace(p.shape[2])
@@ -309,12 +304,9 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     return np.array(stack[0])
 
 
-def _midpoint_envelope(drive: DriveSpec, first: int, m: int, h: float, ws: _Workspace):
-    """The envelope at the midpoints (k + 0.5) h of steps k = first, ..., first + m - 1, in ws."""
-    a = ws.envelope[:m]
-    np.add(ws.steps[:m], first + 0.5, out=a)
-    np.multiply(a, h, out=a)
-    return drive.envelope.evaluate(a, out=a)
+def _midpoint_envelope(drive: DriveSpec, first: int, m: int, h: float) -> np.ndarray:
+    """The envelope at the midpoints (k + 0.5) h of steps k = first, ..., first + m - 1."""
+    return drive.envelope.evaluate((np.arange(m) + (first + 0.5)) * h)
 
 
 def propagator(
@@ -327,9 +319,10 @@ def propagator(
 
     In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
     In 'full' mode it is the product of the midpoint steps, built in chunks of
-    at most CHUNK_STEPS steps in this thread's workspace, and it is refused
-    unless the steps resolve the envelope: its midpoint-sampled area must match
-    the exact area to PULSE_AREA_TOL (relative).
+    at most CHUNK_STEPS steps, each stacked and multiplied in this thread's
+    workspace, and it is refused unless the steps resolve the envelope: its
+    midpoint-sampled area must match the exact area to PULSE_AREA_TOL
+    (relative).
     """
     if cfg.mode == "rwa":
         # a unit-weight rotation applied for the pulse area, as one contiguous 3x3
@@ -342,7 +335,10 @@ def propagator(
         ws = _workspace(min(n, CHUNK_STEPS))
         chunks = [(first, min(CHUNK_STEPS, n - first)) for first in range(0, n, CHUNK_STEPS)]
         # the area check comes before any step is built; a one-chunk pulse keeps its samples
-        sampled = sum(float(_midpoint_envelope(drive, *chunk, h, ws).sum()) for chunk in chunks)
+        sampled = 0.0
+        for chunk in chunks:
+            a = _midpoint_envelope(drive, *chunk, h)
+            sampled += float(a.sum())
         sampled, area = h * sampled, drive.envelope.area
         if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
             raise NumericalContractError(
@@ -351,9 +347,10 @@ def propagator(
             )
         u = np.eye(DIM, dtype=complex)
         for first, m in chunks:
-            a = ws.envelope[:m] if len(chunks) == 1 else _midpoint_envelope(drive, first, m, h, ws)
+            if len(chunks) > 1:
+                a = _midpoint_envelope(drive, first, m, h)
             t0 = pulse_start + (first + 0.5) * h
-            w0, w1 = _coupling_weights(sys, drive, cfg.mode, t0, h, a, out=ws.weights[:, :m])
+            w0, w1 = _coupling_weights(sys, drive, cfg.mode, t0, h, a)
             steps = _step_unitaries(w0, w1, h, out=ws.unitaries[:, :, :m])
             u = time_ordered_product(steps) @ u
     defect = unitarity_defect(u)

@@ -27,15 +27,11 @@ _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _AREA_FRACTION = {"parabola": 2.0 / 3.0, "sin2": 0.5, "square": 1.0}
 
 
-def raw_shape(kind: str, tau: float, width_param: float | None, t, out=None) -> np.ndarray:
-    """Unnormalized envelope g(t), zero outside [0, tau]. Vectorized in t.
-
-    Written into out when it is given (out may be t itself); otherwise into a
-    new array.
-    """
+def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray:
+    """Unnormalized envelope g(t), zero outside [0, tau]. Vectorized in t."""
     tv = np.asarray(t, dtype=float)
     outside = ~((tv >= 0.0) & (tv <= tau))
-    g = np.empty(tv.shape) if out is None else out
+    g = np.empty(tv.shape)
     if kind == "gaussian":
         sigma = width_param * tau * _FWHM_TO_SIGMA  # width_param = FWHM / tau
         np.subtract(tv, 0.5 * tau, out=g)
@@ -92,10 +88,9 @@ class Envelope:
     width_param: float | None
     amplitude: float
 
-    def evaluate(self, t, out=None) -> np.ndarray:
-        """A * g(t); zero outside [0, tau]. Written into out when it is given (out may be t)."""
-        g = raw_shape(self.kind, self.tau, self.width_param, t, out)
-        return np.multiply(g, self.amplitude, out=out)
+    def evaluate(self, t) -> np.ndarray:
+        """A * g(t); zero outside [0, tau]."""
+        return np.multiply(raw_shape(self.kind, self.tau, self.width_param, t), self.amplitude)
 
     @property
     def area(self) -> float:

@@ -209,6 +209,13 @@ def test_empty_grid_exits_2(tmp_path, capsys):
     assert "grid is empty" in capsys.readouterr().err
 
 
+def test_negative_points_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", "--points", "-3", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--points must be >= 0, got -3" in capsys.readouterr().err
+
+
 def test_steep_sech_emits_no_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -172,14 +172,27 @@ def test_step_unitaries_match_eigendecomposition_route():
 
 
 def test_idle_step_reads_no_stale_scratch():
-    # an idle step (w = 0) is the identity whatever this thread's workspace held before
-    dynamics._workspace(4).scratch.fill(np.nan)
+    # an idle step (w = 0) is the identity, and a product does not depend on what this
+    # thread's reused level buffers held before
     w0 = np.array([0.0, 1.0 + 2.0j, 0.0, 0.0])
     w1 = np.array([0.0, -0.5j, 0.0, 3.0])
     batch = _step_unitaries(w0, w1, 0.3)
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
+    for n in (_MATMUL_BELOW + 1, 1001):
+        ws = dynamics._workspace(n)
+        ws.levels.fill(np.nan)
+        ws.row.fill(np.nan)
+        us = _step_unitaries(
+            RNG.normal(size=n) + 1j * RNG.normal(size=n),
+            RNG.normal(size=n) + 1j * RNG.normal(size=n),
+            0.7,
+        )
+        sequential = np.eye(3, dtype=complex)
+        for u in us:
+            sequential = u @ sequential
+        assert np.abs(time_ordered_product(us) - sequential).max() < 1e-13
 
 
 def test_time_ordered_product_ordering():
@@ -274,6 +287,19 @@ def test_concurrent_builds_match_sequential_builds():
             assert np.array_equal(got, want)
 
 
+def test_kept_workspace_is_bounded():
+    # a stack longer than a chunk is multiplied in a workspace the thread does not keep
+    n = 2 * CHUNK_STEPS + 1
+    us = _step_unitaries(RNG.normal(size=n) + 0j, RNG.normal(size=n) + 0j, 0.7)
+    time_ordered_product(us)
+    drive = drive_for_gate(NOT_GATE, envelope("gaussian", 100 * NS))
+    propagator(TRANSMON, drive, PropagationConfig())  # 64,689 steps in 4 chunks
+    kept = dynamics._workspace(1)
+    assert kept.size <= CHUNK_STEPS
+    arrays = [a for a in vars(kept).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == CHUNK_STEPS * 312
+
+
 def test_step_cap_refuses_before_building(monkeypatch):
     def no_workspace(size):
         raise AssertionError("a refused step count builds no arrays")
@@ -313,13 +339,13 @@ def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
 )
 def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
     # a one-chunk pulse steps with the samples of its area check; a longer one samples
-    # each chunk again, since the workspace holds one chunk
+    # each chunk again, so that memory stays bounded by one chunk
     calls = []
     evaluate = Envelope.evaluate
 
-    def counted(self, t, out=None):
+    def counted(self, t):
         calls.append(len(t))
-        return evaluate(self, t, out)
+        return evaluate(self, t)
 
     monkeypatch.setattr(Envelope, "evaluate", counted)
     tau = 40 * NS
