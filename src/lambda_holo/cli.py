@@ -171,7 +171,9 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, help="must be >= 1; points are evaluated in order in one process"
     )
     parser.add_argument(
-        "--steps-per-cycle", type=int, help="integration samples per counter-rotating period"
+        "--steps-per-cycle",
+        type=int,
+        help="CF4 steps per counter-rotating period, two exponentials each",
     )
     parser.add_argument("--mode", choices=("full", "rwa"))
 

@@ -17,6 +17,7 @@ from lambda_holo.dynamics import (
     _MATMUL_BELOW,
     _PHASE_BLOCK,
     _coupling_weights,
+    _rotation,
     _step_unitaries,
     hamiltonian_at,
     num_steps,
@@ -66,11 +67,11 @@ def test_config_validation():
 
 def test_num_steps_rule():
     cfg = PropagationConfig()
-    assert MIN_STEPS == 2000
+    assert MIN_STEPS == 1000
     assert num_steps(LambdaSystem(0.0, 0.0), 40 * NS, cfg) == MIN_STEPS
-    # 40 samples per counter-rotating period pi/f_max
+    # 8 CF4 steps per counter-rotating period pi/f_max
     sys = LambdaSystem(1e10, 5e9)
-    expected = math.ceil(40 * 40 * NS * 2e10 / (2 * math.pi))
+    expected = math.ceil(8 * 40 * NS * 2e10 / (2 * math.pi))
     assert num_steps(sys, 40 * NS, cfg) == expected
     assert num_steps(sys, 1 * NS, cfg) == MIN_STEPS
 
@@ -157,7 +158,8 @@ def test_phase_table_matches_per_step_phases(n, t0):
 
 
 def test_step_unitaries_match_eigendecomposition_route():
-    # closed-form batch exponential vs the generic Hermitian route
+    # closed-form batch exponential, and the scalar rotation of the RWA propagator, vs
+    # the generic Hermitian route
     n = 64
     w0 = RNG.normal(size=n) + 1j * RNG.normal(size=n)
     w1 = RNG.normal(size=n) + 1j * RNG.normal(size=n)
@@ -169,6 +171,17 @@ def test_step_unitaries_match_eigendecomposition_route():
         m[2, 0], m[2, 1] = w0[k], w1[k]
         m[0, 2], m[1, 2] = np.conj(w0[k]), np.conj(w1[k])
         assert np.abs(batch[k] - expm_unitary(m, h)).max() < 1e-12
+    # the RWA rotation: unit (c0, c1) applied for a pulse area
+    for _ in range(n):
+        c0, c1 = RNG.normal(size=2) + 1j * RNG.normal(size=2)
+        norm = math.hypot(abs(c0), abs(c1))
+        c0, c1, area = c0 / norm, c1 / norm, RNG.uniform(0.0, 4 * math.pi)
+        m = np.zeros((3, 3), dtype=complex)
+        m[2, 0], m[2, 1] = c0, c1
+        m[0, 2], m[1, 2] = np.conj(c0), np.conj(c1)
+        u = _rotation(c0, c1, area)
+        assert u.flags.c_contiguous and u.shape == (3, 3)
+        assert np.abs(u - expm_unitary(m, area)).max() < 1e-12
 
 
 def test_idle_step_reads_no_stale_scratch():
@@ -231,22 +244,50 @@ def system_for_steps(n, tau=40 * NS):
     return LambdaSystem(f, 0.9 * f)
 
 
+def cf4_stack(sys, drive, n, start):
+    """The whole interleaved 2n-factor CF4 stack of a pulse, built in one pass.
+
+    Step k samples H at its Gauss-Legendre nodes (k + 1/2 -+ sqrt(3)/6) h and
+    applies exp(-i h (A1 H- + A2 H+)) at 2k, then exp(-i h (A2 H- + A1 H+)) at
+    2k + 1, with A1,2 = 1/4 +- sqrt(3)/6.
+    """
+    h = drive.envelope.tau / n
+    a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
+    w_minus, w_plus = (
+        _coupling_weights(
+            sys, drive, "full", start + x * h, h, drive.envelope.evaluate((np.arange(n) + x) * h)
+        )
+        for x in (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+    )
+    w = np.empty((2, 2 * n), dtype=complex)
+    w[:, 0::2] = a1 * w_minus + a2 * w_plus
+    w[:, 1::2] = a2 * w_minus + a1 * w_plus
+    return _step_unitaries(w[0], w[1], h)
+
+
 @pytest.mark.parametrize(
-    "n", [MIN_STEPS, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
+    "n",
+    [
+        MIN_STEPS,
+        CHUNK_STEPS // 2 - 1,
+        CHUNK_STEPS // 2,
+        CHUNK_STEPS // 2 + 1,
+        CHUNK_STEPS - 1,
+        CHUNK_STEPS,
+        CHUNK_STEPS + 1,
+        2 * CHUNK_STEPS + 1,
+    ],
 )
 def test_chunked_propagator_matches_whole_stack(n):
-    # the chunk loop against one product over all n midpoints at once
+    # the chunk loop (CHUNK_STEPS factors, CHUNK_STEPS // 2 steps per chunk) against one
+    # product over the whole interleaved stack of 2n factors at once
     tau = 40 * NS
     sys = system_for_steps(n, tau)
     cfg = PropagationConfig()
     assert num_steps(sys, tau, cfg) == n
     drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", tau))
-    h = tau / n
     for start in (0.0, 37 * NS):
-        t_mid = start + (np.arange(n) + 0.5) * h
-        a = drive.envelope.evaluate(t_mid - start)
-        w0, w1 = _coupling_weights(sys, drive, "full", start + 0.5 * h, h, a)
-        whole = time_ordered_product(_step_unitaries(w0, w1, h))
+        whole = time_ordered_product(cf4_stack(sys, drive, n, start))
         assert np.abs(propagator(sys, drive, cfg, pulse_start=start) - whole).max() < 1e-13
 
 
@@ -258,9 +299,9 @@ def test_concurrent_builds_match_sequential_builds():
         (system_for_steps(n, tau), drive_for_gate(gate, envelope(kind, tau)), start)
         for n, gate, kind, start in (
             (MIN_STEPS, NOT_GATE, "gaussian", 0.0),
-            (CHUNK_STEPS + 1, HADAMARD_GATE, "sin2", 40 * NS),
+            (CHUNK_STEPS // 2 + 1, HADAMARD_GATE, "sin2", 40 * NS),
             (2 * CHUNK_STEPS + 1, NOT_GATE, "sech", 0.0),
-            (CHUNK_STEPS - 1, HADAMARD_GATE, "square", 13 * NS),
+            (CHUNK_STEPS // 2 - 1, HADAMARD_GATE, "square", 13 * NS),
         )
     ]
     expected = [propagator(sys, drive, cfg, pulse_start=start) for sys, drive, start in jobs]
@@ -293,7 +334,7 @@ def test_kept_workspace_is_bounded():
     us = _step_unitaries(RNG.normal(size=n) + 0j, RNG.normal(size=n) + 0j, 0.7)
     time_ordered_product(us)
     drive = drive_for_gate(NOT_GATE, envelope("gaussian", 100 * NS))
-    propagator(TRANSMON, drive, PropagationConfig())  # 64,689 steps in 4 chunks
+    propagator(TRANSMON, drive, PropagationConfig())  # 12,938 steps in 2 chunks
     kept = dynamics._workspace(1)
     assert kept.size <= CHUNK_STEPS
     arrays = [a for a in vars(kept).values() if isinstance(a, np.ndarray)]
@@ -317,7 +358,7 @@ def test_step_cap_refuses_before_building(monkeypatch):
 
 @pytest.mark.parametrize("sys", [LambdaSystem(0.0, 0.0), LambdaSystem(2e12, TRANSMON.fe1)])
 def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
-    # one chunk (the MIN_STEPS floor) and 63 chunks: the area is checked before any
+    # one chunk (the MIN_STEPS floor) and 25 chunks: the area is checked before any
     # weights or unitaries are built
     def no_steps(*args, **kwargs):
         raise AssertionError("an unresolved envelope builds no steps")
@@ -332,14 +373,17 @@ def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
 @pytest.mark.parametrize(
     "n,sampled",
     [
-        (MIN_STEPS, [MIN_STEPS]),
-        (CHUNK_STEPS, [CHUNK_STEPS]),
-        (CHUNK_STEPS + 1, [CHUNK_STEPS, 1, CHUNK_STEPS, 1]),
+        (MIN_STEPS, [2 * MIN_STEPS]),
+        (CHUNK_STEPS, [CHUNK_STEPS] * 4),
+        (CHUNK_STEPS + 1, [CHUNK_STEPS, CHUNK_STEPS, 2] * 2),
+        (CHUNK_STEPS // 2, [CHUNK_STEPS]),
+        (CHUNK_STEPS // 2 + 1, [CHUNK_STEPS, 2, CHUNK_STEPS, 2]),
     ],
 )
 def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
-    # a one-chunk pulse steps with the samples of its area check; a longer one samples
-    # each chunk again, so that memory stays bounded by one chunk
+    # two node samples per step; a one-chunk pulse steps with the samples of its area
+    # check, and a longer one samples each chunk again, so that memory stays bounded by
+    # one chunk
     calls = []
     evaluate = Envelope.evaluate
 
@@ -450,6 +494,16 @@ def test_frozen_refinement_values(sys, gate, expected, tol):
     assert fidelity(sys, gate, gaussian_drive(gate=gate), KET_0, cfg) == pytest.approx(
         expected, abs=tol
     )
+
+
+def test_error_falls_sixteen_fold_per_halving():
+    # CF4 is fourth order: halving h divides the error by about 16, where the midpoint
+    # rule it replaced gave 4.0-4.2
+    drive = gaussian_drive()
+    u8, u16, u64 = (
+        propagator(TRANSMON, drive, PropagationConfig(steps_per_cycle=n)) for n in (8, 16, 64)
+    )
+    assert np.abs(u8 - u64).max() >= 12 * np.abs(u16 - u64).max()
 
 
 def test_output_norm_is_preserved():

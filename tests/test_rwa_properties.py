@@ -77,14 +77,15 @@ def test_full_propagator_is_unitary(kind, tau_ns, scale, theta, phi, label):
     label=st.sampled_from(sorted(INPUT_STATES)),
 )
 def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, theta, phi, label):
-    # 1 + exp(-2i 0 t) = 2: the steps commute and multiply to exp(-i 2 h sum(a_k) K), the
-    # RWA rotation at twice the amplitude up to the midpoint residue of the area
+    # 1 + exp(-2i 0 t) = 2: the factors commute and multiply to exp(-i 2 (h/2) sum(a- + a+) K),
+    # the RWA rotation at twice the amplitude up to the Gauss-Legendre residue of the area
     gate = GateSpec(theta=theta, phi=phi)
     env = envelope(kind, 10.0**log10_tau_ns * 1e-9)
     full = propagator(ZERO, drive_for_gate(gate, env), PropagationConfig()) @ INPUT_STATES[label]
     n = num_steps(ZERO, env.tau, PropagationConfig())
     h = env.tau / n
-    sampled = h * env.evaluate((np.arange(n) + 0.5) * h).sum()
+    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
+    sampled = 0.5 * h * env.evaluate(((np.arange(n)[:, None] + nodes) * h).ravel()).sum()
     for amplitude, tol in (
         (2 * env.amplitude, 2 * abs(sampled - env.area) + 1e-12),
         (2 * env.amplitude * sampled / env.area, 1e-12),
@@ -94,7 +95,16 @@ def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, t
         assert np.abs(full - rwa).max() <= tol
 
 
-SEAM_STEPS = [MIN_STEPS, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
+SEAM_STEPS = [
+    MIN_STEPS,
+    CHUNK_STEPS // 2 - 1,
+    CHUNK_STEPS // 2,
+    CHUNK_STEPS // 2 + 1,
+    CHUNK_STEPS - 1,
+    CHUNK_STEPS,
+    CHUNK_STEPS + 1,
+    2 * CHUNK_STEPS + 1,
+]
 TAU = 40e-9
 
 
