@@ -6,7 +6,6 @@ from .qstate import (
     KET_E,
     NumericalContractError,
     apply,
-    expm_unitary,
     ket,
     overlap,
     state_vector,
@@ -24,8 +23,6 @@ from .dynamics import (
     TRANSMON,
     LambdaSystem,
     PropagationConfig,
-    hamiltonian_at,
-    propagate_sequence,
     propagator,
 )
 from .gates import (

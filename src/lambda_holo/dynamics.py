@@ -42,20 +42,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .pulses import DriveSpec
-from .qstate import (
-    DIM,
-    NORM_TOL,
-    PULSE_AREA_TOL,
-    UNITARY_TOL,
-    NumericalContractError,
-    state_vector,
-    unitarity_defect,
-)
+from .qstate import DIM, PULSE_AREA_TOL, UNITARY_TOL, NumericalContractError, unitarity_defect
 
 MODES = ("full", "rwa")
 
@@ -86,9 +77,10 @@ MIN_STEPS = 1000
 # larger count is refused, not run.
 MAX_STEPS = 5_000_000
 
-# Factors (two per CF4 step) per chunk of a full-mode propagator, chosen from fig1-scan
-# benchmark runs of the midpoint rule (CHANGES.md). The per-thread workspace holds this
-# many factors, 312 B each.
+# Factors (two per CF4 step) per chunk of a full-mode propagator. The per-thread workspace
+# holds this many factors, 312 B each (5.1 MB). Against this size, in interleaved
+# single-propagator runs (TRANSMON Gaussian NOT at 40 and 100 ns, 2-core VM, numpy 2.4.6),
+# chunks of 8,192 factors were 11-26% slower, 4,096 31-55% and 2,048 65-105%.
 CHUNK_STEPS = 16384
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
@@ -189,8 +181,8 @@ def _scale(z: np.ndarray, x: np.ndarray) -> None:
     np.multiply(z.imag, x, out=z.imag)
 
 
-def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t0, h: float, a):
-    """Off-diagonal entries w_j = <e|H|j> on time grids t0 + k h, as a (2,) + a.shape array.
+def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, t0, h: float, a):
+    """Full-mode entries w_j = <e|H|j> on time grids t0 + k h, as a (2,) + a.shape array.
 
     t0 is the first instant of one grid, with a of shape (n,), or an array of
     the first instants of S grids, with a of shape (S, n). a holds the envelope
@@ -198,30 +190,25 @@ def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, mode: str, t0, h: flo
     phases run on the absolute clock of t0 and come from the _PHASE_BLOCK table,
     to within a few ulp of the largest |2 f t|.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = a.shape[-1]
     samples = a.reshape(-1, n)
     w = np.empty((2,) + a.shape, dtype=complex)
     grids = w.reshape(2, -1, n)
     c = np.array([drive.c0, drive.c1]).reshape(2, 1, 1)
-    if mode == "full":
-        # c (1 + exp(-2i f t)), with c exp(-2i f t) = (c outer[q]) * inner[r], both tones at once
-        f = np.array([sys.fe0, sys.fe1]).reshape(2, 1, 1)
-        blocks, tail = divmod(n, _PHASE_BLOCK)
-        body = blocks * _PHASE_BLOCK
-        inner = np.exp(-2j * f[:, 0] * (h * np.arange(min(n, _PHASE_BLOCK))))
-        starts = np.reshape(t0, (-1, 1)) + _PHASE_BLOCK * h * np.arange(blocks + (tail > 0))
-        outer = np.exp(-2j * f * starts)
-        outer *= c
-        if blocks:
-            table = grids[:, :, :body].reshape(2, -1, blocks, _PHASE_BLOCK)
-            np.multiply(outer[:, :, :blocks, None], inner[:, None, None, :], out=table)
-        if tail:
-            np.multiply(outer[:, :, blocks, None], inner[:, None, :tail], out=grids[:, :, body:])
-        grids += c
-    else:
-        grids[...] = c
+    # c (1 + exp(-2i f t)), with c exp(-2i f t) = (c outer[q]) * inner[r], both tones at once
+    f = np.array([sys.fe0, sys.fe1]).reshape(2, 1, 1)
+    blocks, tail = divmod(n, _PHASE_BLOCK)
+    body = blocks * _PHASE_BLOCK
+    inner = np.exp(-2j * f[:, 0] * (h * np.arange(min(n, _PHASE_BLOCK))))
+    starts = np.reshape(t0, (-1, 1)) + _PHASE_BLOCK * h * np.arange(blocks + (tail > 0))
+    outer = np.exp(-2j * f * starts)
+    outer *= c
+    if blocks:
+        table = grids[:, :, :body].reshape(2, -1, blocks, _PHASE_BLOCK)
+        np.multiply(outer[:, :, :blocks, None], inner[:, None, None, :], out=table)
+    if tail:
+        np.multiply(outer[:, :, blocks, None], inner[:, None, :tail], out=grids[:, :, body:])
+    grids += c
     _scale(grids, samples)
     return w
 
@@ -235,7 +222,7 @@ def _factor_weights(sys: LambdaSystem, drive: DriveSpec, t0, h: float, a):
     (A2 / A1) x + (A1 / A2) y = A2 w- + A1 w+.
     """
     scaled = a * [[_CF4_A1], [_CF4_A2]]
-    x, y = _coupling_weights(sys, drive, "full", t0, h, scaled).transpose(1, 0, 2)
+    x, y = _coupling_weights(sys, drive, t0, h, scaled).transpose(1, 0, 2)
     out = np.empty((2, 2 * a.shape[1]), dtype=complex)
     np.add(x, y, out=out[:, 0::2])
     x *= _CF4_A2 / _CF4_A1
@@ -244,31 +231,14 @@ def _factor_weights(sys: LambdaSystem, drive: DriveSpec, t0, h: float, a):
     return out
 
 
-def hamiltonian_at(
-    sys: LambdaSystem,
-    drive: DriveSpec,
-    t: float,
-    mode: str,
-    pulse_start: float = 0.0,
-) -> np.ndarray:
-    """3x3 Hermitian Hamiltonian at absolute time t for a pulse starting at pulse_start."""
-    a = drive.envelope.evaluate(np.array([t - pulse_start]))
-    w0, w1 = _coupling_weights(sys, drive, mode, t, 0.0, a)[:, 0]
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[2, 0] = w0
-    h[2, 1] = w1
-    h[0, 2] = np.conj(w0)
-    h[1, 2] = np.conj(w1)
-    return h
-
-
 def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float, out=None) -> np.ndarray:
     """exp(-i H_k h) for a batch of coupling-only Hamiltonians, in closed form.
 
     Each H has the single-excitation structure r(|u><e| + |e><u|) with
     u the unit vector along (conj(w0), conj(w1)), so the exponential is a
     rotation by r*h in the {u, e} plane and identity on the orthogonal
-    complement. Equivalent to the eigendecomposition route, exact to
+    complement. It matches the eigendecomposition route (exp of the 3x3
+    Hermitian matrix by np.linalg.eigh, kept in the tests' oracles) to
     rounding, but vectorizes over all steps. The entries are written into
     a (3, 3, n) component array (out, when it is given) and returned as its
     (n, 3, 3) view, the layout time_ordered_product multiplies without
@@ -434,32 +404,3 @@ def propagator(
             f"propagator unitarity defect {defect:.3e} exceeds {UNITARY_TOL}"
         )
     return u
-
-
-def propagate_sequence(
-    sys: LambdaSystem,
-    drives: Sequence[DriveSpec],
-    psi0,
-    cfg: PropagationConfig,
-) -> np.ndarray:
-    """Evolve psi0 through back-to-back pulses sharing one absolute clock from 0.
-
-    Pulse k occupies [sum(tau_j, j<k), sum(tau_j, j<=k)]: the envelope
-    restarts each pulse while the counter-rotating phases stay continuous in
-    absolute time. The output norm is checked, not repaired; an empty
-    sequence returns psi0.
-    """
-    psi = state_vector(psi0)
-    start = 0.0
-    for drive in drives:
-        psi = propagator(sys, drive, cfg, pulse_start=start) @ psi
-        start += drive.envelope.tau
-    check_norm(psi)
-    return psi
-
-
-def check_norm(psi: np.ndarray) -> None:
-    """Raise NumericalContractError if psi has drifted from unit norm beyond NORM_TOL."""
-    drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if drift > NORM_TOL:
-        raise NumericalContractError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")

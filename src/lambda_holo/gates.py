@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LambdaSystem, PropagationConfig, check_norm, propagator
+from .dynamics import LambdaSystem, PropagationConfig, propagator
 from .pulses import DriveSpec, Envelope, check_angles
-from .qstate import DIM, apply, excited_population, overlap, state_vector
+from .qstate import DIM, apply, check_norm, excited_population, overlap, state_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -70,18 +70,6 @@ def ideal_gate(gate: GateSpec) -> np.ndarray:
 def drive_for_gate(gate: GateSpec, env: Envelope) -> DriveSpec:
     """Drive whose coefficient pair realizes the gate's (theta, phi)."""
     return DriveSpec.for_angles(gate.theta, gate.phi, env)
-
-
-def dark_state(gate: GateSpec) -> np.ndarray:
-    """Computational-subspace state decoupled from the drive (+1 eigenvector of the gate)."""
-    half = gate.theta / 2.0
-    return state_vector([math.cos(half), math.sin(half) * np.exp(1j * gate.phi), 0.0])
-
-
-def bright_state(gate: GateSpec) -> np.ndarray:
-    """Fully coupled partner of the dark state (-1 eigenvector of the gate)."""
-    half = gate.theta / 2.0
-    return state_vector([-math.sin(half) * np.exp(-1j * gate.phi), math.cos(half), 0.0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ DIM = 3
 BASIS_LABELS = ("0", "1", "e")
 
 NORM_TOL = 1e-9
-HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
 # relative deviation of a propagator's sampled pulse area from the envelope's exact area
 PULSE_AREA_TOL = 1e-4
@@ -63,39 +62,17 @@ def overlap(a, b) -> complex:
     return complex(np.vdot(av, bv))
 
 
-def hermitian_defect(m) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    mat = _as_complex_array(m, (DIM, DIM), "matrix")
-    return float(np.abs(mat - mat.conj().T).max())
-
-
-def require_hermitian(m) -> np.ndarray:
-    mat = _as_complex_array(m, (DIM, DIM), "matrix")
-    # tolerance scales with the matrix magnitude (entries are rad/s in practice)
-    scale = max(1.0, float(np.abs(mat).max()))
-    defect = hermitian_defect(mat)
-    if defect > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance")
-    return mat
+def check_norm(psi: np.ndarray) -> None:
+    """Raise NumericalContractError if psi has drifted from unit norm beyond NORM_TOL."""
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    if drift > NORM_TOL:
+        raise NumericalContractError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")
 
 
 def unitarity_defect(m) -> float:
     """Largest entrywise deviation of m^dagger m from the identity."""
     mat = _as_complex_array(m, (DIM, DIM), "matrix")
     return float(np.abs(mat.conj().T @ mat - np.eye(DIM)).max())
-
-
-def expm_unitary(h, dt: float) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h, via eigendecomposition (exact to rounding at 3x3)."""
-    mat = require_hermitian(h)
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
-    evals, evecs = np.linalg.eigh(mat)
-    u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
-    defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
-        raise NumericalContractError(f"matrix exponential lost unitarity (defect {defect:.3e})")
-    return u
 
 
 def apply(m, psi) -> np.ndarray:

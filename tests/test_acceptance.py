@@ -28,7 +28,6 @@ from lambda_holo.gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    dark_state,
     drive_for_gate,
     gate_outcome,
     ideal_gate,
@@ -42,6 +41,7 @@ from lambda_holo.sweeps import (
     frequency_sweep,
     sequence_sweep,
 )
+from oracles import dark_state
 
 NS = 1e-9
 WORKERS = 4

@@ -1,12 +1,27 @@
+import csv
+import io
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_holo import dynamics
-from lambda_holo.cli import RunConfig, build_parser, config_from_args, main
+from lambda_holo.cli import (
+    RunConfig,
+    _format_value,
+    build_parser,
+    config_from_args,
+    main,
+    render_csv,
+    render_json,
+)
+from lambda_holo.gates import GATE_PRESETS, INPUT_STATES
 from lambda_holo.pulses import ENVELOPE_KINDS
+from lambda_holo.sweeps import SEQUENCE_LABELS, SweepPoint
 
 COMMANDS = ("table1", "table2", "table3", "fig1", "fig2", "run")
 
@@ -369,3 +384,61 @@ def test_run_config_is_the_only_source_of_defaults(command):
     args = parser.parse_args([command])
     assert {name for name, value in vars(args).items() if value is not None} == {"command"}
     assert config_from_args(parser, args) == RunConfig(command=command)
+
+
+# the coordinate columns of the sweeps, with the values they take
+COORDINATE_VALUES = {
+    "mode": st.sampled_from(("full", "rwa")),
+    "envelope": st.sampled_from(ENVELOPE_KINDS),
+    "input": st.sampled_from(sorted(INPUT_STATES) + ["avg"]),
+    "gate": st.sampled_from(sorted(GATE_PRESETS) + ["custom"]),
+    "sequence": st.sampled_from(SEQUENCE_LABELS),
+    "fe0_rad_s": st.floats(0.0, 1e16),
+    "fe1_rad_s": st.floats(0.0, 1e16),
+    "width_param": st.floats(1e-6, 1e4),
+    "tau_ns": st.floats(1e-6, 1e6),
+    "theta_rad": st.floats(0.0, math.pi),
+    "phi_rad": st.floats(-math.pi, math.pi),
+}
+
+
+def last_place(cell):
+    """The unit in the last printed place of a decimal or scientific cell."""
+    mantissa, _, exponent = cell.partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+@st.composite
+def sweep_records(draw):
+    # one column layout per file: single-gate rows carry the gate, sequence rows the label
+    columns = ["mode", "fe0_rad_s", "fe1_rad_s", "envelope", "width_param", "tau_ns", "input"]
+    columns += draw(st.sampled_from((["gate", "theta_rad", "phi_rad"], ["sequence"])))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        points.append(
+            SweepPoint(
+                {c: draw(COORDINATE_VALUES[c]) for c in columns},
+                fidelity=draw(st.floats(0.0, 1.0 + 1e-9)),
+                excited_population=draw(st.none() | st.floats(0.0, 1.0)),
+                overlap_phase=draw(st.none() | st.floats(-math.pi, math.pi)),
+            )
+        )
+    return [p.record() for p in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=sweep_records())
+def test_render_round_trip(records):
+    assert json.loads(render_json(records)) == records
+    reader = csv.DictReader(io.StringIO(render_csv(records), newline=""))
+    rows = list(reader)
+    assert reader.fieldnames == list(records[0])
+    assert len(rows) == len(records)
+    for rec, row in zip(records, rows):
+        for col, value in rec.items():
+            cell = row[col]
+            assert cell == _format_value(col, value)
+            if isinstance(value, float):
+                # printing rounds to the last printed place, and parsing is exact to an ulp
+                slack = 2 * np.spacing(max(abs(value), abs(float(cell))))
+                assert abs(float(cell) - value) <= 0.5 * last_place(cell) + slack

@@ -19,28 +19,31 @@ from lambda_holo.dynamics import (
     _coupling_weights,
     _rotation,
     _step_unitaries,
-    hamiltonian_at,
     num_steps,
-    propagate_sequence,
     propagator,
     time_ordered_product,
 )
 from lambda_holo.gates import (
+    AVERAGE_INPUT_LABELS,
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    bright_state,
-    dark_state,
+    GateSpec,
     drive_for_gate,
+    gate_outcome,
     ideal_gate,
+    unitary_outcome,
 )
 from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, envelope
-from lambda_holo.qstate import (
-    KET_0,
-    NumericalContractError,
+from lambda_holo.qstate import KET_0, NumericalContractError, overlap
+from lambda_holo.sweeps import sequence_sweep
+from oracles import (
+    bright_state,
+    dark_state,
     expm_unitary,
+    hamiltonian,
     hermitian_defect,
-    overlap,
+    sequence_propagator,
 )
 
 NS = 1e-9
@@ -52,7 +55,7 @@ def gaussian_drive(tau_ns=40.0, gate=NOT_GATE):
 
 
 def fidelity(sys, gate, drive, psi0, cfg):
-    exact = propagate_sequence(sys, [drive], psi0, cfg)
+    exact = propagator(sys, drive, cfg) @ psi0
     return abs(overlap(ideal_gate(gate) @ psi0, exact))
 
 
@@ -86,7 +89,7 @@ def test_num_steps_rwa_is_one_rotation():
 def test_hamiltonian_is_hermitian():
     drive = gaussian_drive()
     for t_ns in (3.0, 17.5, 20.0, 39.0):
-        h = hamiltonian_at(TRANSMON, drive, t_ns * NS, "full")
+        h = hamiltonian(TRANSMON, drive, t_ns * NS, "full")
         assert hermitian_defect(h) == 0.0
         assert h[0, 0] == h[1, 1] == h[2, 2] == 0.0
 
@@ -96,15 +99,15 @@ def test_zero_frequency_doubles_coupling():
     drive = gaussian_drive()
     sys0 = LambdaSystem(0.0, 0.0)
     t = 13.7 * NS
-    full = hamiltonian_at(sys0, drive, t, "full")
-    rwa = hamiltonian_at(sys0, drive, t, "rwa")
+    full = hamiltonian(sys0, drive, t, "full")
+    rwa = hamiltonian(sys0, drive, t, "rwa")
     assert np.abs(full - 2.0 * rwa).max() < 1e-12 * np.abs(full).max()
 
 
 def test_rwa_entry_is_bare_drive():
     drive = gaussian_drive()
     t = 9.3 * NS
-    h = hamiltonian_at(TRANSMON, drive, t, "rwa")
+    h = hamiltonian(TRANSMON, drive, t, "rwa")
     assert h[2, 0] == drive.c0 * drive.envelope.evaluate(t)
     assert h[2, 1] == drive.c1 * drive.envelope.evaluate(t)
 
@@ -114,7 +117,7 @@ def test_full_mode_phase_cancellation():
     drive = gaussian_drive()
     sys = LambdaSystem(fe0=2e8, fe1=3e8)
     t = math.pi / (2 * sys.fe0)
-    h = hamiltonian_at(sys, drive, t, "full")
+    h = hamiltonian(sys, drive, t, "full")
     assert abs(h[2, 0]) < 1e-12 * abs(h[2, 1])
 
 
@@ -122,13 +125,13 @@ def test_pulse_start_separates_envelope_and_phase_clocks():
     drive = gaussian_drive()
     sys = LambdaSystem(1e9, 1e9)
     t0 = 25 * NS
-    shifted = hamiltonian_at(sys, drive, t0 + 5 * NS, "full", pulse_start=t0)
-    base = hamiltonian_at(sys, drive, 5 * NS, "full", pulse_start=0.0)
+    shifted = hamiltonian(sys, drive, t0 + 5 * NS, "full", pulse_start=t0)
+    base = hamiltonian(sys, drive, 5 * NS, "full", pulse_start=0.0)
     # same envelope sample, different carrier phase
     assert abs(abs(shifted[2, 0] / base[2, 0])) != pytest.approx(0.0)
     assert shifted[2, 0] != base[2, 0]
-    rwa_shifted = hamiltonian_at(sys, drive, t0 + 5 * NS, "rwa", pulse_start=t0)
-    rwa_base = hamiltonian_at(sys, drive, 5 * NS, "rwa", pulse_start=0.0)
+    rwa_shifted = hamiltonian(sys, drive, t0 + 5 * NS, "rwa", pulse_start=t0)
+    rwa_base = hamiltonian(sys, drive, 5 * NS, "rwa", pulse_start=0.0)
     assert rwa_shifted[2, 0] == pytest.approx(rwa_base[2, 0], rel=1e-12)
 
 
@@ -142,7 +145,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
     drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
     h = 40 * NS / 25876
     a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, n)
-    w = _coupling_weights(TRANSMON, drive, "full", t0, h, a)
+    w = _coupling_weights(TRANSMON, drive, t0, h, a)
     for wj, f, c in zip(w, (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
         want = np.array([c * a[k] * (1.0 + np.exp(-2j * f * (t0 + k * h))) for k in range(n)])
         # bound fixed from float64 beforehand: each side rounds the phase to about an ulp
@@ -152,7 +155,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
         tol = 4 * np.spacing(max(phase_max, 4.0)) * abs(c) * a.max()
         assert np.abs(wj - want).max() <= tol
     # at f = 0 the factor is exactly 1 + 1
-    w = _coupling_weights(LambdaSystem(0.0, 0.0), drive, "full", t0, h, a)
+    w = _coupling_weights(LambdaSystem(0.0, 0.0), drive, t0, h, a)
     for wj, c in zip(w, (drive.c0, drive.c1)):
         assert np.array_equal(wj, 2 * c * a)
 
@@ -255,7 +258,7 @@ def cf4_stack(sys, drive, n, start):
     a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
     w_minus, w_plus = (
         _coupling_weights(
-            sys, drive, "full", start + x * h, h, drive.envelope.evaluate((np.arange(n) + x) * h)
+            sys, drive, start + x * h, h, drive.envelope.evaluate((np.arange(n) + x) * h)
         )
         for x in (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
     )
@@ -401,7 +404,7 @@ def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
 def test_rwa_pulse_realizes_ideal_gate():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()
-    out = propagate_sequence(TRANSMON, [drive], KET_0, cfg)
+    out = propagator(TRANSMON, drive, cfg) @ KET_0
     ideal = ideal_gate(NOT_GATE) @ KET_0
     assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
 
@@ -410,7 +413,7 @@ def test_rwa_holds_for_all_envelope_kinds():
     cfg = PropagationConfig(mode="rwa")
     for kind in ("gaussian", "sech", "parabola", "sin2", "square"):
         drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
-        out = propagate_sequence(TRANSMON, [drive], INPUT_STATES["y+"], cfg)
+        out = propagator(TRANSMON, drive, cfg) @ INPUT_STATES["y+"]
         ideal = ideal_gate(HADAMARD_GATE) @ INPUT_STATES["y+"]
         assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
 
@@ -509,40 +512,47 @@ def test_error_falls_sixteen_fold_per_halving():
 def test_output_norm_is_preserved():
     cfg = PropagationConfig()
     for sys in (TRANSMON, LambdaSystem(1e8, 1e8), LambdaSystem(0.0, 0.0)):
-        out = propagate_sequence(sys, [gaussian_drive()], INPUT_STATES["x+"], cfg)
+        out = propagator(sys, gaussian_drive(), cfg) @ INPUT_STATES["x+"]
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
 
 def test_propagate_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        propagate_sequence(TRANSMON, [gaussian_drive()], [1.0, 1.0, 0.0], PropagationConfig())
-
-
-def test_sequence_empty_is_identity():
-    psi = INPUT_STATES["y+"]
-    assert np.array_equal(propagate_sequence(TRANSMON, [], psi, PropagationConfig()), psi)
+        gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(), [1.0, 1.0, 0.0], PropagationConfig())
 
 
 def test_rwa_double_not_is_identity():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()
-    out = propagate_sequence(TRANSMON, [drive, drive], KET_0, cfg)
+    out = sequence_propagator(TRANSMON, [drive, drive], cfg) @ KET_0
     assert abs(abs(overlap(KET_0, out)) - 1.0) < 1e-6
 
 
+def averaged(u, ideal):
+    """Fidelity and excited population over the canonical inputs, averaged as the sweeps do."""
+    outs = [unitary_outcome(u, ideal, INPUT_STATES[s]) for s in AVERAGE_INPUT_LABELS]
+    return np.mean([o.fidelity for o in outs]), np.mean([o.excited_population for o in outs])
+
+
 def test_sequence_uses_continuous_carrier():
-    # the second pulse must see absolute time, so applying the propagators with
-    # shifted starts reproduces the sequence exactly; a per-pulse reset (both
-    # starts at 0) differs in full mode
+    # the sweep's second pulse sees absolute time: a two-pulse row is the composition
+    # with the second pulse starting at tau, and the composition that restarts the
+    # clock for each pulse (both starts at 0) differs in full mode
     cfg = PropagationConfig()
     sys = LambdaSystem(3e8, 2e8)
-    d1 = gaussian_drive()
-    d2 = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
-    seq = propagate_sequence(sys, [d1, d2], KET_0, cfg)
-    first = propagator(sys, d1, cfg, pulse_start=0.0) @ KET_0
-    assert np.array_equal(seq, propagator(sys, d2, cfg, pulse_start=40 * NS) @ first)
-    reset = propagator(sys, d2, cfg, pulse_start=0.0) @ first
-    assert np.abs(seq - reset).max() > 1e-4
+    env = envelope("gaussian", 40 * NS)
+    rows = {p.coordinates["sequence"]: p for p in sequence_sweep([40.0], sys=sys, cfg=cfg)}
+    for label, gates in (
+        ("hadamard_then_not", (HADAMARD_GATE, NOT_GATE)),
+        ("not_then_hadamard", (NOT_GATE, HADAMARD_GATE)),
+    ):
+        first, second = (drive_for_gate(g, env) for g in gates)
+        ideal = ideal_gate(gates[1]) @ ideal_gate(gates[0])
+        row = rows[label]
+        got = (row.fidelity, row.excited_population)
+        assert got == averaged(sequence_propagator(sys, [first, second], cfg), ideal)
+        reset = averaged(propagator(sys, second, cfg) @ propagator(sys, first, cfg), ideal)
+        assert abs(row.fidelity - reset[0]) > 1e-2
 
 
 def test_degenerate_limit_equals_doubled_rwa():
@@ -555,23 +565,21 @@ def test_degenerate_limit_equals_doubled_rwa():
         sys0 = LambdaSystem(0.0, 0.0)
         for label in ("0", "x+", "y+"):
             psi = INPUT_STATES[label]
-            full = propagate_sequence(sys0, [d_full], psi, PropagationConfig(mode="full"))
-            rwa = propagate_sequence(sys0, [d_rwa], psi, PropagationConfig(mode="rwa"))
+            full = propagator(sys0, d_full, PropagationConfig(mode="full")) @ psi
+            rwa = propagator(sys0, d_rwa, PropagationConfig(mode="rwa")) @ psi
             assert np.abs(full - rwa).max() < 1e-8
 
 
 def test_dark_state_invariance_rwa():
     cfg = PropagationConfig(mode="rwa")
     for theta, phi in ((0.3, 0.0), (1.1, -2.0), (2.6, 1.4)):
-        from lambda_holo.gates import GateSpec
-
         gate = GateSpec(theta=theta, phi=phi)
-        drive = drive_for_gate(gate, envelope("sin2", 40 * NS))
+        u = propagator(TRANSMON, drive_for_gate(gate, envelope("sin2", 40 * NS)), cfg)
         dark = dark_state(gate)
-        out = propagate_sequence(TRANSMON, [drive], dark, cfg)
+        out = u @ dark
         assert abs(abs(overlap(dark, out)) - 1.0) < 1e-8
         bright = bright_state(gate)
-        out_b = propagate_sequence(TRANSMON, [drive], bright, cfg)
+        out_b = u @ bright
         ov = overlap(bright, out_b)
         assert abs(abs(ov) - 1.0) < 1e-8
         assert abs(abs(np.angle(ov)) - math.pi) < 1e-6  # sign flip of the bright state
@@ -584,7 +592,7 @@ def test_amplitude_convergence_under_refinement():
     for kind, tau_ns, base in (("gaussian", 40.0, 160), ("square", 2.5, 320)):
         drive = drive_for_gate(NOT_GATE, envelope(kind, tau_ns * NS))
         coarse, fine = (
-            propagate_sequence(TRANSMON, [drive], KET_0, PropagationConfig(steps_per_cycle=n))
+            propagator(TRANSMON, drive, PropagationConfig(steps_per_cycle=n)) @ KET_0
             for n in (base, 2 * base)
         )
         assert np.abs(coarse - fine).max() < 1e-6

@@ -11,7 +11,6 @@ from lambda_holo.gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    dark_state,
     drive_for_gate,
     gate_outcome,
     ideal_gate,
@@ -19,6 +18,7 @@ from lambda_holo.gates import (
 from lambda_holo.pulses import envelope
 from lambda_holo.qstate import KET_0, KET_1, overlap
 from lambda_holo.sweeps import duration_average_sweep
+from oracles import dark_state
 
 NS = 1e-9
 

@@ -6,12 +6,12 @@ from lambda_holo.qstate import (
     KET_1,
     KET_E,
     apply,
-    expm_unitary,
     ket,
     overlap,
     state_vector,
     unitarity_defect,
 )
+from oracles import expm_unitary
 
 RNG = np.random.default_rng(20240817)
 
@@ -73,6 +73,10 @@ def test_overlap_conjugate_symmetry():
 def test_overlap_rejects_nonfinite():
     with pytest.raises(ValueError):
         overlap([np.nan, 0, 0], KET_0)
+
+
+# The eigendecomposition exponential of the tests' oracles, which the closed-form step
+# unitaries are checked against.
 
 
 def test_expm_zero_generator():
