@@ -1,15 +1,6 @@
 """Exact vs rotating-wave dynamics of driven three-level lambda systems."""
 
-from .qstate import (
-    KET_0,
-    KET_1,
-    KET_E,
-    NumericalContractError,
-    apply,
-    ket,
-    overlap,
-    state_vector,
-)
+from .qstate import NumericalContractError, state_vector
 from .pulses import (
     DEFAULT_FWHM_FRACTION,
     DEFAULT_SECH_BETA,

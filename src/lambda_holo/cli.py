@@ -25,6 +25,9 @@ FORMATS = ("csv", "json")
 
 _GHZ_TO_RAD_S = 2.0 * math.pi * 1e9
 
+# fig1 holds its rows in memory, about 2.6 KB each: the cap keeps that near 260 MB
+MAX_FIG1_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -114,6 +117,8 @@ def _fig1_durations_ns(cfg: RunConfig) -> np.ndarray:
             raise ValueError(f"{option} must be positive and finite, got {value!r}")
     if cfg.points < 0:
         raise ValueError(f"--points must be >= 0, got {cfg.points!r}")
+    if cfg.points > MAX_FIG1_POINTS:
+        raise ValueError(f"--points must be <= {MAX_FIG1_POINTS}, got {cfg.points!r}")
     return sweeps.fig1_default_durations_ns(points=cfg.points, lo=cfg.tau_min_ns, hi=cfg.tau_max_ns)
 
 

@@ -115,8 +115,10 @@ class PropagationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.steps_per_cycle < 8:
-            raise ValueError(f"steps_per_cycle must be >= 8, got {self.steps_per_cycle!r}")
+        if not (math.isfinite(self.steps_per_cycle) and self.steps_per_cycle >= 8):
+            raise ValueError(
+                f"steps_per_cycle must be finite and >= 8, got {self.steps_per_cycle!r}"
+            )
 
 
 def num_steps(sys: LambdaSystem, tau: float, cfg: PropagationConfig) -> int:
@@ -399,7 +401,7 @@ def propagator(
             factors = _step_unitaries(w[0], w[1], h, out=ws.unitaries[:, :, : 2 * m])
             u = time_ordered_product(factors) @ u
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise NumericalContractError(
             f"propagator unitarity defect {defect:.3e} exceeds {UNITARY_TOL}"
         )

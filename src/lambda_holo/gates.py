@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import LambdaSystem, PropagationConfig, propagator
 from .pulses import DriveSpec, Envelope, check_angles
-from .qstate import DIM, apply, check_norm, excited_population, overlap, state_vector
+from .qstate import DIM, check_norm, state_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -26,6 +26,9 @@ INPUT_STATES = {
     "x+": state_vector([_SQRT_HALF, _SQRT_HALF, 0.0]),
     "y+": state_vector([_SQRT_HALF, 1j * _SQRT_HALF, 0.0]),
 }
+# validated once, here: unitary_outcome trusts them, so they are read-only
+for _psi in INPUT_STATES.values():
+    _psi.setflags(write=False)
 
 # inputs averaged over for duration scans: +1 eigenstates of sz, sx, sy
 AVERAGE_INPUT_LABELS = ("0", "x+", "y+")
@@ -89,18 +92,18 @@ def _require_computational(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi0) -> GateOutcome:
-    """Apply an exact propagator to psi0 and compare with the ideal unitary's output.
+def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi: np.ndarray) -> GateOutcome:
+    """Apply an exact propagator to a validated state and compare with the ideal output.
 
+    psi is trusted: an INPUT_STATES entry, or a state gate_outcome has validated.
     The output norm is checked, not repaired.
     """
-    psi = _require_computational(state_vector(psi0))
     exact = u_exact @ psi
     check_norm(exact)
-    ov = overlap(apply(u_ideal, psi), exact)
+    ov = complex(np.vdot(u_ideal @ psi, exact))
     return GateOutcome(
         fidelity=float(abs(ov)),
-        excited_population=excited_population(exact),
+        excited_population=float(np.abs(exact[2]) ** 2),
         overlap_phase=float(np.angle(ov)),
     )
 
@@ -112,5 +115,9 @@ def gate_outcome(
     psi0,
     cfg: PropagationConfig,
 ) -> GateOutcome:
-    """Propagate psi0 exactly and compare with the ideal gate output."""
-    return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi0)
+    """Propagate psi0 exactly and compare with the ideal gate output.
+
+    psi0 must be a unit-norm state on span{|0>, |1>}; it is validated before propagation.
+    """
+    psi = _require_computational(state_vector(psi0))
+    return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi)

@@ -15,7 +15,6 @@ from lambda_holo.qstate import (
     DIM,
     UNITARY_TOL,
     NumericalContractError,
-    _as_complex_array,
     state_vector,
     unitarity_defect,
 )
@@ -41,19 +40,18 @@ def hamiltonian(sys, drive, t: float, mode: str, pulse_start: float = 0.0) -> np
     return h
 
 
-def hermitian_defect(m) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    mat = _as_complex_array(m, (DIM, DIM), "matrix")
-    return float(np.abs(mat - mat.conj().T).max())
+def hermitian_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation of m from its conjugate transpose; NaN if m is not finite."""
+    return float(np.abs(m - m.conj().T).max())
 
 
 def require_hermitian(m) -> np.ndarray:
-    mat = _as_complex_array(m, (DIM, DIM), "matrix")
+    mat = np.asarray(m, dtype=complex)
     # tolerance scales with the matrix magnitude (entries are rad/s in practice)
     scale = max(1.0, float(np.abs(mat).max()))
     defect = hermitian_defect(mat)
-    if defect > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance")
+    if not defect <= HERMITIAN_TOL * scale:
+        raise ValueError(f"matrix is not finite and Hermitian: defect {defect:.3e}")
     return mat
 
 
@@ -65,7 +63,7 @@ def expm_unitary(h, dt: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(mat)
     u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise NumericalContractError(f"matrix exponential lost unitarity (defect {defect:.3e})")
     return u
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_holo import dynamics
+from lambda_holo import dynamics, sweeps
 from lambda_holo.cli import (
+    MAX_FIG1_POINTS,
     RunConfig,
     _format_value,
     build_parser,
@@ -229,6 +230,34 @@ def test_negative_points_exits_2(tmp_path, capsys):
         main(["fig1", "--points", "-3", "-o", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert "--points must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["100001", "1000000000000000"])
+def test_too_many_points_exits_2_before_allocating(points, tmp_path, capsys, monkeypatch):
+    def no_grid(**kwargs):
+        raise AssertionError("the duration grid was built")
+
+    monkeypatch.setattr(sweeps, "fig1_default_durations_ns", no_grid)
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", "--mode", "rwa", "--points", points, "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--points must be <= {MAX_FIG1_POINTS}, got {points}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_points_at_the_cap_reach_the_grid(monkeypatch):
+    class GridBuilt(Exception):
+        pass
+
+    def grid(points, lo, hi):
+        assert points == MAX_FIG1_POINTS
+        raise GridBuilt
+
+    monkeypatch.setattr(sweeps, "fig1_default_durations_ns", grid)
+    with pytest.raises(GridBuilt):
+        main(["fig1", "--mode", "rwa", "--points", str(MAX_FIG1_POINTS)])
 
 
 def test_steep_sech_emits_no_warning(tmp_path):

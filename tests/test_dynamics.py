@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lambda_holo import dynamics
+from lambda_holo.cli import main
 from lambda_holo.dynamics import (
     CHUNK_STEPS,
     MAX_STEPS,
@@ -35,7 +36,7 @@ from lambda_holo.gates import (
     unitary_outcome,
 )
 from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, envelope
-from lambda_holo.qstate import KET_0, NumericalContractError, overlap
+from lambda_holo.qstate import NumericalContractError
 from lambda_holo.sweeps import sequence_sweep
 from oracles import (
     bright_state,
@@ -56,14 +57,15 @@ def gaussian_drive(tau_ns=40.0, gate=NOT_GATE):
 
 def fidelity(sys, gate, drive, psi0, cfg):
     exact = propagator(sys, drive, cfg) @ psi0
-    return abs(overlap(ideal_gate(gate) @ psi0, exact))
+    return abs(np.vdot(ideal_gate(gate) @ psi0, exact))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(mode="exact")
-    with pytest.raises(ValueError):
-        PropagationConfig(steps_per_cycle=4)
+    for bad in (4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="steps_per_cycle"):
+            PropagationConfig(steps_per_cycle=bad)
     with pytest.raises(ValueError):
         LambdaSystem(-1.0, 1.0)
 
@@ -359,6 +361,15 @@ def test_step_cap_refuses_before_building(monkeypatch):
         propagator(over, gaussian_drive(), cfg)
 
 
+def test_nonfinite_propagator_is_a_contract_violation(monkeypatch, capsys):
+    # a NaN unitarity defect fails the contract (exit 1), not a configuration check (exit 2)
+    monkeypatch.setattr(dynamics, "_rotation", lambda *args: np.full((3, 3), np.nan, complex))
+    with pytest.raises(NumericalContractError, match="unitarity defect nan"):
+        propagator(TRANSMON, gaussian_drive(), PropagationConfig(mode="rwa"))
+    assert main(["run", "--mode", "rwa"]) == 1
+    assert "numerical contract violated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sys", [LambdaSystem(0.0, 0.0), LambdaSystem(2e12, TRANSMON.fe1)])
 def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
     # one chunk (the MIN_STEPS floor) and 25 chunks: the area is checked before any
@@ -404,9 +415,9 @@ def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
 def test_rwa_pulse_realizes_ideal_gate():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()
-    out = propagator(TRANSMON, drive, cfg) @ KET_0
-    ideal = ideal_gate(NOT_GATE) @ KET_0
-    assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
+    out = propagator(TRANSMON, drive, cfg) @ INPUT_STATES["0"]
+    ideal = ideal_gate(NOT_GATE) @ INPUT_STATES["0"]
+    assert abs(abs(np.vdot(ideal, out)) - 1.0) < 1e-6
 
 
 def test_rwa_holds_for_all_envelope_kinds():
@@ -415,7 +426,7 @@ def test_rwa_holds_for_all_envelope_kinds():
         drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
         out = propagator(TRANSMON, drive, cfg) @ INPUT_STATES["y+"]
         ideal = ideal_gate(HADAMARD_GATE) @ INPUT_STATES["y+"]
-        assert abs(abs(overlap(ideal, out)) - 1.0) < 1e-6
+        assert abs(abs(np.vdot(ideal, out)) - 1.0) < 1e-6
 
 
 def _midpoint_rwa_product(drive, n, pulse_start):
@@ -475,9 +486,9 @@ def test_rwa_propagator_is_independent_of_system_and_start(monkeypatch):
 def test_table_frequency_extremes():
     cfg = PropagationConfig()
     drive = gaussian_drive()
-    high = fidelity(LambdaSystem(1e10, 1e10), NOT_GATE, drive, KET_0, cfg)
+    high = fidelity(LambdaSystem(1e10, 1e10), NOT_GATE, drive, INPUT_STATES["0"], cfg)
     assert abs(high - 1.0000) < 5e-4
-    low = fidelity(LambdaSystem(1e6, 1e6), NOT_GATE, drive, KET_0, cfg)
+    low = fidelity(LambdaSystem(1e6, 1e6), NOT_GATE, drive, INPUT_STATES["0"], cfg)
     assert abs(low - 0.0037) < 5e-3
 
 
@@ -494,9 +505,8 @@ FROZEN = [
 @pytest.mark.parametrize("sys,gate,expected,tol", FROZEN)
 def test_frozen_refinement_values(sys, gate, expected, tol):
     cfg = PropagationConfig()
-    assert fidelity(sys, gate, gaussian_drive(gate=gate), KET_0, cfg) == pytest.approx(
-        expected, abs=tol
-    )
+    got = fidelity(sys, gate, gaussian_drive(gate=gate), INPUT_STATES["0"], cfg)
+    assert got == pytest.approx(expected, abs=tol)
 
 
 def test_error_falls_sixteen_fold_per_halving():
@@ -524,8 +534,8 @@ def test_propagate_rejects_unnormalized_input():
 def test_rwa_double_not_is_identity():
     cfg = PropagationConfig(mode="rwa")
     drive = gaussian_drive()
-    out = sequence_propagator(TRANSMON, [drive, drive], cfg) @ KET_0
-    assert abs(abs(overlap(KET_0, out)) - 1.0) < 1e-6
+    out = sequence_propagator(TRANSMON, [drive, drive], cfg) @ INPUT_STATES["0"]
+    assert abs(abs(np.vdot(INPUT_STATES["0"], out)) - 1.0) < 1e-6
 
 
 def averaged(u, ideal):
@@ -577,10 +587,10 @@ def test_dark_state_invariance_rwa():
         u = propagator(TRANSMON, drive_for_gate(gate, envelope("sin2", 40 * NS)), cfg)
         dark = dark_state(gate)
         out = u @ dark
-        assert abs(abs(overlap(dark, out)) - 1.0) < 1e-8
+        assert abs(abs(np.vdot(dark, out)) - 1.0) < 1e-8
         bright = bright_state(gate)
         out_b = u @ bright
-        ov = overlap(bright, out_b)
+        ov = np.vdot(bright, out_b)
         assert abs(abs(ov) - 1.0) < 1e-8
         assert abs(abs(np.angle(ov)) - math.pi) < 1e-6  # sign flip of the bright state
 
@@ -592,7 +602,7 @@ def test_amplitude_convergence_under_refinement():
     for kind, tau_ns, base in (("gaussian", 40.0, 160), ("square", 2.5, 320)):
         drive = drive_for_gate(NOT_GATE, envelope(kind, tau_ns * NS))
         coarse, fine = (
-            propagator(TRANSMON, drive, PropagationConfig(steps_per_cycle=n)) @ KET_0
+            propagator(TRANSMON, drive, PropagationConfig(steps_per_cycle=n)) @ INPUT_STATES["0"]
             for n in (base, 2 * base)
         )
         assert np.abs(coarse - fine).max() < 1e-6

@@ -16,7 +16,6 @@ from lambda_holo.gates import (
     ideal_gate,
 )
 from lambda_holo.pulses import envelope
-from lambda_holo.qstate import KET_0, KET_1, overlap
 from lambda_holo.sweeps import duration_average_sweep
 from oracles import dark_state
 
@@ -35,6 +34,7 @@ def test_input_states_are_computational():
     for label, psi in INPUT_STATES.items():
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12, label
         assert psi[2] == 0.0, label
+        assert not psi.flags.writeable, label
     assert set(AVERAGE_INPUT_LABELS) == {"0", "x+", "y+"}
 
 
@@ -42,7 +42,7 @@ def test_not_preset_matrix():
     u = ideal_gate(NOT_GATE)
     assert np.abs(u[:2, :2] + SX).max() < 1e-12  # -sigma_x: |0> -> -|1>
     assert u[2, 2] == 1.0
-    assert np.abs(u @ KET_0 + KET_1).max() < 1e-12
+    assert np.abs(u @ INPUT_STATES["0"] + INPUT_STATES["1"]).max() < 1e-12
 
 
 def test_quarter_angle_gives_hadamard_matrix():
@@ -109,20 +109,21 @@ def test_near_identity_limit_hadamard():
     # overlap is |<0|H|0>| = 1/sqrt(2)
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    fid = gate_outcome(sys, HADAMARD_GATE, gaussian_drive(HADAMARD_GATE), KET_0, cfg).fidelity
+    drive = gaussian_drive(HADAMARD_GATE)
+    fid = gate_outcome(sys, HADAMARD_GATE, drive, INPUT_STATES["0"], cfg).fidelity
     assert abs(fid - 0.7071) < 5e-3
 
 
 def test_near_identity_limit_not():
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    fid = gate_outcome(sys, NOT_GATE, gaussian_drive(NOT_GATE), KET_0, cfg).fidelity
+    fid = gate_outcome(sys, NOT_GATE, gaussian_drive(NOT_GATE), INPUT_STATES["0"], cfg).fidelity
     assert fid < 0.01  # the overlap vanishes for a NOT on |0>
 
 
 def test_gate_outcome_diagnostics():
     cfg = PropagationConfig()
-    out = gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), KET_0, cfg)
+    out = gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), INPUT_STATES["0"], cfg)
     assert 0.0 <= out.fidelity <= 1.0 + 1e-9
     assert 0.0 <= out.excited_population <= 1.0
     assert -math.pi <= out.overlap_phase <= math.pi
