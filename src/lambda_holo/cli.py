@@ -139,7 +139,7 @@ _PRESETS = {
         _fig1_durations_ns(c), sys=sys_, kind=c.envelope, **kw
     ),
     "fig2": lambda c, sys_, kw: sweeps.sequence_sweep(
-        c.durations_ns, sys=sys_, kind=c.envelope, **kw
+        c.durations_ns or sweeps.FIG2_DURATIONS_NS, sys=sys_, kind=c.envelope, **kw
     ),
     "run": lambda c, sys_, kw: sweeps.duration_sweep(
         (c.tau_ns,), (c.envelope,), sys=sys_, gate=_gate_spec(c), input_label=c.input_label, **kw
@@ -151,6 +151,8 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured command and write its records; returns the exit status."""
     if cfg.command not in _PRESETS:
         raise ValueError(f"unknown command {cfg.command!r}")
+    if cfg.fmt not in FORMATS:
+        raise ValueError(f"--format must be one of {FORMATS}, got {cfg.fmt!r}")
     shared = dict(
         fwhm_fraction=cfg.fwhm_fraction,
         sech_beta=cfg.sech_beta,
@@ -183,11 +185,21 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("full", "rwa"))
 
 
+def _ghz(text: str) -> float:
+    try:
+        return float(text) * _GHZ_TO_RAD_S
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _add_system_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fe0", type=float, help="|0>-|e> frequency (rad/s)")
-    parser.add_argument("--fe1", type=float, help="|1>-|e> frequency (rad/s)")
-    parser.add_argument("--fe0-ghz", type=float, help="|0>-|e> frequency (GHz)")
-    parser.add_argument("--fe1-ghz", type=float, help="|1>-|e> frequency (GHz)")
+    for name, level in (("fe0", "|0>"), ("fe1", "|1>")):
+        what = f"{level}-|e> frequency"
+        given_as = parser.add_mutually_exclusive_group()
+        given_as.add_argument(f"--{name}", type=float, help=f"{what} (rad/s)")
+        given_as.add_argument(
+            f"--{name}-ghz", dest=name, type=_ghz, metavar="GHZ", help=f"{what} (GHz)"
+        )
 
 
 def _add_pulse_options(
@@ -254,24 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_frequency(parser: argparse.ArgumentParser, given: dict, name: str) -> None:
-    """Replace a given --<name>-ghz by <name> in rad/s; giving both is an error."""
-    ghz = given.pop(f"{name}_ghz", None)
-    if ghz is None:
-        return
-    if name in given:
-        parser.error(f"--{name} and --{name}-ghz are mutually exclusive")
-    given[name] = ghz * _GHZ_TO_RAD_S
-
-
-def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the options given on the command line; the rest keep its defaults.
 
     The parser sets no defaults of its own: an option left out parses as None.
     """
     given = {name: value for name, value in vars(args).items() if value is not None}
-    _resolve_frequency(parser, given, "fe0")
-    _resolve_frequency(parser, given, "fe1")
     for name in ("frequencies", "durations_ns"):
         if name in given:
             given[name] = tuple(given[name])
@@ -281,7 +281,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(parser, args)
+    cfg = config_from_args(args)
     try:
         return run(cfg)
     except ValueError as exc:

@@ -17,10 +17,8 @@ the right-hand factor first. A combination of coupling-only Hamiltonians is
 coupling-only, so each factor is one closed-form rotation: unitary to
 rounding, with a discretization error that falls 16x per halving of h. A step
 costs two exponentials; at the default 8 steps per counter-rotating period a
-40 ns transmon pulse needs 16 exponentials per period, where the midpoint
-rule it replaced needed 40 for four times the error. That propagator (5,176
-steps) takes about 2.6-3.0 ms, against 6.1-6.7 ms for the midpoint rule's
-25,876 steps (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
+40 ns transmon pulse needs 16 exponentials per period. That propagator (5,176
+steps) takes about 2.6-3.0 ms (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
 
 A full-mode propagator is built in chunks of CHUNK_STEPS factors, that is
 CHUNK_STEPS / 2 steps. A first pass samples the envelope at every node and
@@ -69,8 +67,7 @@ TRANSMON = LambdaSystem(fe0=5.0806e10, fe1=4.8580e10)
 
 
 # Per-pulse CF4 step floor, for pulses whose carrier needs fewer steps: 2,000
-# exponentials and 2,000 envelope samples, as many as the 2,000-step midpoint floor
-# before it.
+# exponentials and 2,000 envelope samples.
 MIN_STEPS = 1000
 
 # Per-pulse CF4 step cap: 10,000,000 exponentials, about 3 s of full-mode stepping. A

@@ -111,13 +111,13 @@ def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi: np.ndarray) -
 def gate_outcome(
     sys: LambdaSystem,
     gate: GateSpec,
-    drive: DriveSpec,
+    env: Envelope,
     psi0,
     cfg: PropagationConfig,
 ) -> GateOutcome:
-    """Propagate psi0 exactly and compare with the ideal gate output.
+    """Propagate psi0 under the drive that realizes gate on env; compare with the ideal output.
 
     psi0 must be a unit-norm state on span{|0>, |1>}; it is validated before propagation.
     """
     psi = _require_computational(state_vector(psi0))
-    return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi)
+    return unitary_outcome(propagator(sys, drive_for_gate(gate, env), cfg), ideal_gate(gate), psi)

@@ -32,6 +32,7 @@ NS = 1e-9
 TABLE1_FREQUENCIES = (1e6, 1e7, 1e8, 5e8, 1e9, 1e10)
 TABLE2_INPUT_LABELS = ("x+", "y+", "0")
 TABLE3_DURATIONS_NS = (100.0, 40.0, 10.0, 2.5)
+FIG2_DURATIONS_NS = tuple(float(t) for t in range(10, 101, 5))
 DEFAULT_TAU_NS = 40.0
 
 SEQUENCE_LABELS = ("hadamard_then_not", "not_then_hadamard", "product")
@@ -44,9 +45,7 @@ def fig1_default_durations_ns(points: int = 100, lo: float = 1.0, hi: float = 10
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def fig2_default_durations_ns():
-    """Linear per-pulse duration grid (ns) for the sequence scan."""
-    return np.linspace(10.0, 100.0, 19)
+FIG1_DURATIONS_NS = tuple(map(float, fig1_default_durations_ns()))
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,9 @@ def _row(
     inputs: tuple[str, ...],
     **extra,
 ) -> _Row:
+    for label in inputs:
+        if label not in INPUT_STATES:
+            raise ValueError(f"unknown input {label!r}; known inputs are {tuple(INPUT_STATES)}")
     coords = {
         "mode": cfg.mode,
         "fe0_rad_s": sys.fe0,
@@ -164,7 +166,6 @@ def _pulse(kind: str, tau_ns: float, fwhm_fraction: float, sech_beta: float) -> 
 
 def frequency_sweep(
     freqs: Sequence[float] = TABLE1_FREQUENCIES,
-    gates: Sequence[GateSpec] = (NOT_GATE, HADAMARD_GATE),
     *,
     tau_ns: float = DEFAULT_TAU_NS,
     kind: str = "gaussian",
@@ -174,28 +175,30 @@ def frequency_sweep(
     cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """Fidelity vs transition frequency, the same f on both transitions."""
+    """NOT and Hadamard fidelity vs transition frequency, the same f on both transitions."""
     env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
     systems = [LambdaSystem(fe0=float(f), fe1=float(f)) for f in freqs]
+    gates = (NOT_GATE, HADAMARD_GATE)
     rows = [_row(s, cfg, env, tau_ns, ((g,),), (input_label,)) for s in systems for g in gates]
     return _evaluate(rows, cfg, workers)
 
 
 def envelope_input_sweep(
-    kinds: Sequence[str] = ENVELOPE_KINDS,
-    inputs: Sequence[str] = TABLE2_INPUT_LABELS,
     *,
     sys: LambdaSystem = TRANSMON,
-    gate: GateSpec = NOT_GATE,
     tau_ns: float = DEFAULT_TAU_NS,
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     cfg: PropagationConfig = PropagationConfig(),
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """Envelope-shape x input-state fidelity grid at fixed gate and duration."""
-    envs = [_pulse(kind, tau_ns, fwhm_fraction, sech_beta) for kind in kinds]
-    rows = [_row(sys, cfg, env, tau_ns, ((gate,),), (label,)) for env in envs for label in inputs]
+    """NOT fidelity per envelope kind and TABLE2_INPUT_LABELS input at one duration."""
+    envs = [_pulse(kind, tau_ns, fwhm_fraction, sech_beta) for kind in ENVELOPE_KINDS]
+    rows = [
+        _row(sys, cfg, env, tau_ns, ((NOT_GATE,),), (label,))
+        for env in envs
+        for label in TABLE2_INPUT_LABELS
+    ]
     return _evaluate(rows, cfg, workers)
 
 
@@ -221,7 +224,7 @@ def duration_sweep(
 
 
 def duration_average_sweep(
-    durations_ns: Sequence[float] | None = None,
+    durations_ns: Sequence[float] = FIG1_DURATIONS_NS,
     gates: Sequence[GateSpec] = (NOT_GATE, HADAMARD_GATE),
     *,
     sys: LambdaSystem = TRANSMON,
@@ -232,8 +235,6 @@ def duration_average_sweep(
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Input-averaged fidelity per (gate, duration) over a dense duration grid."""
-    if durations_ns is None:
-        durations_ns = fig1_default_durations_ns()
     taus = [float(t) for t in durations_ns]
     envs = [_pulse(kind, t, fwhm_fraction, sech_beta) for t in taus]
     rows = [
@@ -245,7 +246,7 @@ def duration_average_sweep(
 
 
 def sequence_sweep(
-    durations_ns: Sequence[float] | None = None,
+    durations_ns: Sequence[float] = FIG2_DURATIONS_NS,
     *,
     sys: LambdaSystem = TRANSMON,
     kind: str = "gaussian",
@@ -260,8 +261,6 @@ def sequence_sweep(
     application orders (each averaged over the canonical inputs) and the
     product of the separately averaged single-gate fidelities at the same tau.
     """
-    if durations_ns is None:
-        durations_ns = fig2_default_durations_ns()
     terms = {
         "hadamard_then_not": ((HADAMARD_GATE, NOT_GATE),),
         "not_then_hadamard": ((NOT_GATE, HADAMARD_GATE),),

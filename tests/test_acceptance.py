@@ -136,10 +136,7 @@ def test_criterion_1_frequency_table(table1_fids):
 
 def _sech_fidelity(beta: float) -> float:
     env = envelope("sech", 40 * NS, sech_beta=beta)
-    return gate_outcome(
-        TRANSMON, NOT_GATE, drive_for_gate(NOT_GATE, env), INPUT_STATES["0"],
-        PropagationConfig(),
-    ).fidelity
+    return gate_outcome(TRANSMON, NOT_GATE, env, INPUT_STATES["0"], PropagationConfig()).fidelity
 
 
 def calibrate_sech_beta(target=0.9947, lo=1.0, hi=12.0, iters=24) -> float:
@@ -173,10 +170,9 @@ def test_criterion_2_envelope_table_attainable(table2_fids, sech_beta_star):
     devs[("gaussian", "x+")] = abs(table2_fids[("gaussian", "x+")] - 0.9999)
     # sech row at the calibrated width; x+/y+ entries are predictions
     env = envelope("sech", 40 * NS, sech_beta=sech_beta_star)
-    drive = drive_for_gate(NOT_GATE, env)
     for label, ref in TABLE2_REFS["sech"].items():
         fid = gate_outcome(
-            TRANSMON, NOT_GATE, drive, INPUT_STATES[label], PropagationConfig()
+            TRANSMON, NOT_GATE, env, INPUT_STATES[label], PropagationConfig()
         ).fidelity
         devs[("sech", label)] = abs(fid - ref)
     ok = all(dev <= 0.01 for dev in devs.values())

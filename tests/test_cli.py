@@ -19,6 +19,7 @@ from lambda_holo.cli import (
     main,
     render_csv,
     render_json,
+    run,
 )
 from lambda_holo.gates import GATE_PRESETS, INPUT_STATES
 from lambda_holo.pulses import ENVELOPE_KINDS
@@ -190,9 +191,28 @@ def test_unwritable_output_exits_2(target, tmp_path, capsys):
 
 
 def test_conflicting_frequency_flags_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--fe0", "5e10", "--fe0-ghz", "8.0", "-o", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+    for name in ("fe0", "fe1"):
+        argv = ["run", f"--{name}", "5e10", f"--{name}-ghz", "8.0", "-o", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", ("xml", "CSV"))
+def test_unknown_format_is_refused(fmt, capsys):
+    with pytest.raises(ValueError, match=f"--format must be one of .*, got '{fmt}'"):
+        run(RunConfig(command="run", mode="rwa", fmt=fmt))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ("run", "table1"))
+def test_unknown_input_is_refused_before_propagating(command, monkeypatch):
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("propagated an unknown input")
+
+    monkeypatch.setattr(sweeps, "propagator", no_propagator)
+    with pytest.raises(ValueError, match="unknown input 'z'"):
+        run(RunConfig(command=command, input_label="z"))
 
 
 def test_invalid_theta_exits_2(tmp_path):
@@ -412,7 +432,7 @@ def test_run_config_is_the_only_source_of_defaults(command):
     parser = build_parser()
     args = parser.parse_args([command])
     assert {name for name, value in vars(args).items() if value is not None} == {"command"}
-    assert config_from_args(parser, args) == RunConfig(command=command)
+    assert config_from_args(args) == RunConfig(command=command)
 
 
 # the coordinate columns of the sweeps, with the values they take

@@ -35,7 +35,7 @@ from lambda_holo.gates import (
     ideal_gate,
     unitary_outcome,
 )
-from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, envelope
+from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, drive_coefficients, envelope
 from lambda_holo.qstate import NumericalContractError
 from lambda_holo.sweeps import sequence_sweep
 from oracles import (
@@ -187,6 +187,21 @@ def test_step_unitaries_match_eigendecomposition_route():
         u = _rotation(c0, c1, area)
         assert u.flags.c_contiguous and u.shape == (3, 3)
         assert np.abs(u - expm_unitary(m, area)).max() < 1e-12
+
+
+def test_rotation_is_the_batch_closed_form_bit_for_bit():
+    # _rotation restates _step_unitaries in scalars, so one weight pair gives the same bits
+    # either way; theta = 0 and pi are the drives with one weight exactly 0
+    rng = np.random.default_rng(5023)
+    cases = []
+    for _ in range(200):
+        c0, c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.hypot(abs(c0), abs(c1))
+        cases.append((c0 / norm, c1 / norm, rng.uniform(0.0, 4 * math.pi)))
+    cases += [(*drive_coefficients(theta, 0.7), math.pi) for theta in (0.0, math.pi)]
+    for c0, c1, area in cases:
+        batch = _step_unitaries(np.array([c0]), np.array([c1]), area)
+        assert np.array_equal(_rotation(c0, c1, area), batch[0]), (c0, c1, area)
 
 
 def test_idle_step_reads_no_stale_scratch():
@@ -528,7 +543,9 @@ def test_output_norm_is_preserved():
 
 def test_propagate_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(), [1.0, 1.0, 0.0], PropagationConfig())
+        gate_outcome(
+            TRANSMON, NOT_GATE, gaussian_drive().envelope, [1.0, 1.0, 0.0], PropagationConfig()
+        )
 
 
 def test_rwa_double_not_is_identity():

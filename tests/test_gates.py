@@ -11,7 +11,6 @@ from lambda_holo.gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    drive_for_gate,
     gate_outcome,
     ideal_gate,
 )
@@ -26,8 +25,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD_MATRIX = (SX + SZ) / math.sqrt(2)
 
 
-def gaussian_drive(gate, tau_ns=40.0):
-    return drive_for_gate(gate, envelope("gaussian", tau_ns * NS))
+GAUSSIAN = envelope("gaussian", 40.0 * NS)
 
 
 def test_input_states_are_computational():
@@ -83,24 +81,22 @@ def test_gate_presets_registry():
 def test_rwa_fidelity_is_unity():
     cfg = PropagationConfig(mode="rwa")
     for name, gate in GATE_PRESETS.items():
-        drive = gaussian_drive(gate)
         for label in AVERAGE_INPUT_LABELS:
-            fid = gate_outcome(TRANSMON, gate, drive, INPUT_STATES[label], cfg).fidelity
+            fid = gate_outcome(TRANSMON, gate, GAUSSIAN, INPUT_STATES[label], cfg).fidelity
             assert abs(fid - 1.0) < 1e-6, (name, label)
 
 
 def test_rejects_excited_state_input():
     psi = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     with pytest.raises(ValueError):
-        gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), psi, PropagationConfig())
+        gate_outcome(TRANSMON, NOT_GATE, GAUSSIAN, psi, PropagationConfig())
 
 
 def test_fidelity_invariant_under_input_global_phase():
     cfg = PropagationConfig()
-    drive = gaussian_drive(NOT_GATE)
     psi = INPUT_STATES["y+"]
-    base = gate_outcome(TRANSMON, NOT_GATE, drive, psi, cfg).fidelity
-    rotated = gate_outcome(TRANSMON, NOT_GATE, drive, np.exp(0.9j) * psi, cfg).fidelity
+    base = gate_outcome(TRANSMON, NOT_GATE, GAUSSIAN, psi, cfg).fidelity
+    rotated = gate_outcome(TRANSMON, NOT_GATE, GAUSSIAN, np.exp(0.9j) * psi, cfg).fidelity
     assert base == pytest.approx(rotated, abs=1e-12)
 
 
@@ -109,21 +105,20 @@ def test_near_identity_limit_hadamard():
     # overlap is |<0|H|0>| = 1/sqrt(2)
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    drive = gaussian_drive(HADAMARD_GATE)
-    fid = gate_outcome(sys, HADAMARD_GATE, drive, INPUT_STATES["0"], cfg).fidelity
+    fid = gate_outcome(sys, HADAMARD_GATE, GAUSSIAN, INPUT_STATES["0"], cfg).fidelity
     assert abs(fid - 0.7071) < 5e-3
 
 
 def test_near_identity_limit_not():
     cfg = PropagationConfig()
     sys = LambdaSystem(1e6, 1e6)
-    fid = gate_outcome(sys, NOT_GATE, gaussian_drive(NOT_GATE), INPUT_STATES["0"], cfg).fidelity
+    fid = gate_outcome(sys, NOT_GATE, GAUSSIAN, INPUT_STATES["0"], cfg).fidelity
     assert fid < 0.01  # the overlap vanishes for a NOT on |0>
 
 
 def test_gate_outcome_diagnostics():
     cfg = PropagationConfig()
-    out = gate_outcome(TRANSMON, NOT_GATE, gaussian_drive(NOT_GATE), INPUT_STATES["0"], cfg)
+    out = gate_outcome(TRANSMON, NOT_GATE, GAUSSIAN, INPUT_STATES["0"], cfg)
     assert 0.0 <= out.fidelity <= 1.0 + 1e-9
     assert 0.0 <= out.excited_population <= 1.0
     assert -math.pi <= out.overlap_phase <= math.pi

@@ -45,8 +45,8 @@ ZERO = LambdaSystem(0.0, 0.0)
 )
 def test_rwa_pulse_is_the_ideal_gate(kind, log10_tau_ns, theta, phi, label):
     gate = GateSpec(theta=theta, phi=phi)
-    drive = drive_for_gate(gate, envelope(kind, 10.0**log10_tau_ns * 1e-9))
-    out = gate_outcome(TRANSMON, gate, drive, INPUT_STATES[label], RWA)
+    env = envelope(kind, 10.0**log10_tau_ns * 1e-9)
+    out = gate_outcome(TRANSMON, gate, env, INPUT_STATES[label], RWA)
     assert abs(out.fidelity - 1.0) <= 1e-12
     assert out.excited_population <= 1e-24
 

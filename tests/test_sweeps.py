@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from lambda_holo import dynamics, gates, sweeps
 from lambda_holo.dynamics import LambdaSystem, PropagationConfig, TRANSMON
-from lambda_holo.gates import AVERAGE_INPUT_LABELS, HADAMARD_GATE, NOT_GATE
+from lambda_holo.gates import (
+    AVERAGE_INPUT_LABELS,
+    HADAMARD_GATE,
+    INPUT_STATES,
+    NOT_GATE,
+    GateSpec,
+    gate_outcome,
+)
 from lambda_holo.pulses import envelope
 from lambda_holo.sweeps import (
     SEQUENCE_LABELS,
@@ -104,11 +111,29 @@ def test_sequence_sweep_product_row_has_no_state_diagnostics():
 
 
 def test_sweep_points_echo_system():
-    points = envelope_input_sweep(kinds=("square",), inputs=("0",))
+    points = envelope_input_sweep()
     p = points[0]
     assert p.coordinates["fe0_rad_s"] == TRANSMON.fe0
     assert p.coordinates["fe1_rad_s"] == TRANSMON.fe1
     assert p.coordinates["mode"] == "full"
+
+
+@pytest.mark.parametrize("mode", ("full", "rwa"))
+def test_gate_outcome_is_the_sweep_record(mode):
+    # the library's single-point path and a one-row sweep give the same bits
+    cfg = PropagationConfig(mode=mode)
+    tau_ns, kind = 25.0, "sech"
+    env = envelope(kind, tau_ns * 1e-9)
+    for gate in (NOT_GATE, HADAMARD_GATE, GateSpec(theta=1.0472, phi=0.7854)):
+        for label, psi in INPUT_STATES.items():
+            out = gate_outcome(TRANSMON, gate, env, psi, cfg)
+            (point,) = duration_sweep((tau_ns,), (kind,), gate=gate, input_label=label, cfg=cfg)
+            rec = point.record()
+            assert (out.fidelity, out.excited_population, out.overlap_phase) == (
+                rec["fidelity"],
+                rec["excited_population"],
+                rec["overlap_phase"],
+            ), (gate, label)
 
 
 def test_record_layout():
@@ -144,6 +169,12 @@ def propagator_calls(monkeypatch):
 def test_each_distinct_propagator_is_built_once(propagator_calls, sweep, distinct):
     sweep()
     assert len(propagator_calls) == distinct
+
+
+def test_unknown_input_is_refused_before_propagating(propagator_calls):
+    with pytest.raises(ValueError, match=r"unknown input 'z'; known inputs are \('0', '1'"):
+        duration_sweep(input_label="z")
+    assert propagator_calls == []
 
 
 ORDER_CFGS = (PropagationConfig(), PropagationConfig(mode="rwa"))
