@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TRANSMON, LambdaSystem, PropagationConfig
+from .dynamics import MODES, TRANSMON, LambdaSystem, PropagationConfig
 from .gates import GATE_PRESETS, GateSpec, INPUT_STATES
 from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS
 from .qstate import NumericalContractError
@@ -182,7 +182,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         help="CF4 steps per counter-rotating period, two exponentials each",
     )
-    parser.add_argument("--mode", choices=("full", "rwa"))
+    parser.add_argument("--mode", choices=MODES)
 
 
 def _ghz(text: str) -> float:

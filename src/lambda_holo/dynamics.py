@@ -23,14 +23,15 @@ steps) takes about 2.6-3.0 ms (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
 A full-mode propagator is built in chunks of CHUNK_STEPS factors, that is
 CHUNK_STEPS / 2 steps. A first pass samples the envelope at every node and
 refuses the pulse if the two-node Gauss-Legendre area misses the exact one,
-before any step is built. Then each chunk's envelope samples and coupling
-weights are computed, its factors are written, interleaved, into one
-workspace per thread and multiplied there, and the chunk's product is folded
-into the 3x3 result. The workspace holds only the factor stack and the
-product's levels (312 B per factor) and is kept across chunks and calls.
+before any step is built. Then one weights stage, _coupling_weights, turns
+each chunk's node samples into its interleaved factor weights, the factors
+are written into one workspace per thread and multiplied there, and the
+chunk's product is folded into the 3x3 result. The workspace holds only the
+factor stack and the product's levels (312 B per factor) and is kept across
+chunks and calls.
 Memory is therefore bounded by the chunk, not by the step count; MAX_STEPS
 bounds the time. Each node lies on a uniform grid t_k = t0 + k h, so the
-carrier phases exp(-2i f t_k) of a chunk of m steps come from a table of
+carrier phases exp(-2i f t_k) of a chunk of m steps come from one table of
 B + 2 ceil(m / B) complex exponentials per tone (B = _PHASE_BLOCK), at one
 complex multiply per node.
 """
@@ -180,49 +181,33 @@ def _scale(z: np.ndarray, x: np.ndarray) -> None:
     np.multiply(z.imag, x, out=z.imag)
 
 
-def _coupling_weights(sys: LambdaSystem, drive: DriveSpec, t0, h: float, a):
-    """Full-mode entries w_j = <e|H|j> on time grids t0 + k h, as a (2,) + a.shape array.
-
-    t0 is the first instant of one grid, with a of shape (n,), or an array of
-    the first instants of S grids, with a of shape (S, n). a holds the envelope
-    sampled at those instants on the pulse's own clock; the counter-rotating
-    phases run on the absolute clock of t0 and come from the _PHASE_BLOCK table,
-    to within a few ulp of the largest |2 f t|.
-    """
-    n = a.shape[-1]
-    samples = a.reshape(-1, n)
-    w = np.empty((2,) + a.shape, dtype=complex)
-    grids = w.reshape(2, -1, n)
-    c = np.array([drive.c0, drive.c1]).reshape(2, 1, 1)
-    # c (1 + exp(-2i f t)), with c exp(-2i f t) = (c outer[q]) * inner[r], both tones at once
-    f = np.array([sys.fe0, sys.fe1]).reshape(2, 1, 1)
-    blocks, tail = divmod(n, _PHASE_BLOCK)
-    body = blocks * _PHASE_BLOCK
-    inner = np.exp(-2j * f[:, 0] * (h * np.arange(min(n, _PHASE_BLOCK))))
-    starts = np.reshape(t0, (-1, 1)) + _PHASE_BLOCK * h * np.arange(blocks + (tail > 0))
-    outer = np.exp(-2j * f * starts)
-    outer *= c
-    if blocks:
-        table = grids[:, :, :body].reshape(2, -1, blocks, _PHASE_BLOCK)
-        np.multiply(outer[:, :, :blocks, None], inner[:, None, None, :], out=table)
-    if tail:
-        np.multiply(outer[:, :, blocks, None], inner[:, None, :tail], out=grids[:, :, body:])
-    grids += c
-    _scale(grids, samples)
-    return w
-
-
-def _factor_weights(sys: LambdaSystem, drive: DriveSpec, t0, h: float, a):
+def _coupling_weights(
+    sys: LambdaSystem, drive: DriveSpec, t0: np.ndarray, h: float, a: np.ndarray
+) -> np.ndarray:
     """The full-mode CF4 factor weights of m steps, interleaved as (2, 2m), from node samples.
 
-    a is (2, m), the envelope at the nodes t- = t0[0] + k h and t+ = t0[1] + k h.
-    With x = A1 w- and y = A2 w+, the node weights of the samples scaled by A1
-    and A2, factor 2k is x + y = A1 w- + A2 w+ and factor 2k + 1 is
-    (A2 / A1) x + (A1 / A2) y = A2 w- + A1 w+.
+    a is (2, m), the envelope on the pulse's own clock at the nodes
+    t- = t0[0] + k h and t+ = t0[1] + k h; the carrier phases run on the
+    absolute clock of t0. With x = A1 w- and y = A2 w+, the node weights
+    w_j = c_j a (1 + exp(-2i f_j t)) of the samples scaled by A1 and A2,
+    factor 2k is x + y = A1 w- + A2 w+ and factor 2k + 1 is
+    (A2 / A1) x + (A1 / A2) y = A2 w- + A1 w+. The phases come from the
+    _PHASE_BLOCK table, to within a few ulp of the largest |2 f t|.
     """
-    scaled = a * [[_CF4_A1], [_CF4_A2]]
-    x, y = _coupling_weights(sys, drive, t0, h, scaled).transpose(1, 0, 2)
-    out = np.empty((2, 2 * a.shape[1]), dtype=complex)
+    m = a.shape[1]
+    c = np.array([drive.c0, drive.c1]).reshape(2, 1, 1)
+    # c exp(-2i f t) = (c outer[q]) * inner[r] for t = t0 + (q B + r) h, both tones and nodes
+    # at once; the last block is cut to m
+    f = np.array([sys.fe0, sys.fe1]).reshape(2, 1, 1)
+    inner = np.exp(-2j * f[:, 0] * (h * np.arange(min(m, _PHASE_BLOCK))))
+    starts = t0[:, None] + _PHASE_BLOCK * h * np.arange(-(-m // _PHASE_BLOCK))
+    outer = np.exp(-2j * f * starts)
+    outer *= c
+    w = (outer[..., None] * inner[:, None, None, :]).reshape(2, 2, -1)[:, :, :m]
+    w += c
+    _scale(w, a * [[_CF4_A1], [_CF4_A2]])
+    x, y = w[:, 0], w[:, 1]
+    out = np.empty((2, 2 * m), dtype=complex)
     np.add(x, y, out=out[:, 0::2])
     x *= _CF4_A2 / _CF4_A1
     y *= _CF4_A1 / _CF4_A2
@@ -366,8 +351,10 @@ def propagator(
     most CHUNK_STEPS factors, each stacked and multiplied in this thread's
     workspace, and it is refused unless the steps resolve the envelope: its
     two-node Gauss-Legendre area (h/2) sum(a- + a+) must match the exact area
-    to PULSE_AREA_TOL (relative).
+    to PULSE_AREA_TOL (relative). A non-finite pulse_start raises ValueError.
     """
+    if not math.isfinite(pulse_start):
+        raise ValueError(f"pulse_start must be finite, got {pulse_start!r}")
     if cfg.mode == "rwa":
         # a unit-weight rotation applied for the pulse area
         u = _rotation(drive.c0, drive.c1, drive.envelope.area)
@@ -394,7 +381,7 @@ def propagator(
             if len(chunks) > 1:
                 a = _node_envelope(drive, first, m, h)
             t0 = pulse_start + (first + _CF4_NODES) * h
-            w = _factor_weights(sys, drive, t0, h, a)
+            w = _coupling_weights(sys, drive, t0, h, a)
             factors = _step_unitaries(w[0], w[1], h, out=ws.unitaries[:, :, : 2 * m])
             u = time_ordered_product(factors) @ u
     defect = unitarity_defect(u)

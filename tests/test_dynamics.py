@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 from sys import getswitchinterval, setswitchinterval
 
@@ -12,6 +13,7 @@ from lambda_holo.dynamics import (
     CHUNK_STEPS,
     MAX_STEPS,
     MIN_STEPS,
+    MODES,
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
@@ -142,24 +144,32 @@ def test_pulse_start_separates_envelope_and_phase_clocks():
 )
 @pytest.mark.parametrize("t0", [0.0, 37 * NS, 10_000 * NS])
 def test_phase_table_matches_per_step_phases(n, t0):
-    # the outer[q] * inner[r] table against exp(-2i f t_k) taken step by step; at
-    # t0 = 10 us the phases 2 fe0 t reach 1.0e6 rad
+    # the outer[q] * inner[r] table against exp(-2i f t_k) taken step by step, in both CF4
+    # combinations of the node weights; at t0 = 10 us the phases 2 fe0 t reach 1.0e6 rad
     drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
     h = 40 * NS / 25876
-    a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, n)
-    w = _coupling_weights(TRANSMON, drive, t0, h, a)
-    for wj, f, c in zip(w, (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
-        want = np.array([c * a[k] * (1.0 + np.exp(-2j * f * (t0 + k * h))) for k in range(n)])
+    a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
+    starts = t0 + np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6]) * h
+    a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, (2, n))
+    out = _coupling_weights(TRANSMON, drive, starts, h, a)
+    assert out.shape == (2, 2 * n)
+    for wj, f, c in zip(out, (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
+        w_minus, w_plus = (
+            np.array([c * ak[k] * (1.0 + np.exp(-2j * f * (tk + k * h))) for k in range(n)])
+            for ak, tk in zip(a, starts)
+        )
         # bound fixed from float64 beforehand: each side rounds the phase to about an ulp
         # of the largest |2 f t|, and the unit phasors and the products with c and a add a
         # few eps; 4 ulp of max(|2 f t|, 4) covers both, as ulp(4) = 4 eps
         phase_max = 2.0 * f * (t0 + n * h)
         tol = 4 * np.spacing(max(phase_max, 4.0)) * abs(c) * a.max()
-        assert np.abs(wj - want).max() <= tol
-    # at f = 0 the factor is exactly 1 + 1
-    w = _coupling_weights(LambdaSystem(0.0, 0.0), drive, t0, h, a)
-    for wj, c in zip(w, (drive.c0, drive.c1)):
-        assert np.array_equal(wj, 2 * c * a)
+        assert np.abs(wj[0::2] - (a1 * w_minus + a2 * w_plus)).max() <= tol
+        assert np.abs(wj[1::2] - (a2 * w_minus + a1 * w_plus)).max() <= tol
+    # at f = 0 the factor is exactly 1 + 1; with no envelope at t+, factor 2k is A1 w-
+    a[1] = 0.0
+    out = _coupling_weights(LambdaSystem(0.0, 0.0), drive, starts, h, a)
+    for wj, c in zip(out, (drive.c0, drive.c1)):
+        assert np.array_equal(wj[0::2], 2 * c * (a1 * a[0]))
 
 
 def test_step_unitaries_match_eigendecomposition_route():
@@ -228,20 +238,8 @@ def test_idle_step_reads_no_stale_scratch():
         assert np.abs(time_ordered_product(us) - sequential).max() < 1e-13
 
 
-def test_time_ordered_product_ordering():
-    us = _step_unitaries(
-        RNG.normal(size=5) + 1j * RNG.normal(size=5),
-        RNG.normal(size=5) + 1j * RNG.normal(size=5),
-        0.7,
-    )
-    sequential = np.eye(3, dtype=complex)
-    for u in us:
-        sequential = u @ sequential
-    assert np.abs(time_ordered_product(us) - sequential).max() < 1e-13
-
-
 @pytest.mark.parametrize(
-    "n", [1, 2, 3, 7, 64, _MATMUL_BELOW - 1, _MATMUL_BELOW, _MATMUL_BELOW + 1, 1001]
+    "n", [1, 2, 3, 5, 7, 64, _MATMUL_BELOW - 1, _MATMUL_BELOW, _MATMUL_BELOW + 1, 1001]
 )
 def test_time_ordered_product_matches_sequential_loop(n):
     # odd counts leave a carried factor at one or more levels of the reduction;
@@ -272,16 +270,9 @@ def cf4_stack(sys, drive, n, start):
     2k + 1, with A1,2 = 1/4 +- sqrt(3)/6.
     """
     h = drive.envelope.tau / n
-    a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
-    w_minus, w_plus = (
-        _coupling_weights(
-            sys, drive, start + x * h, h, drive.envelope.evaluate((np.arange(n) + x) * h)
-        )
-        for x in (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
-    )
-    w = np.empty((2, 2 * n), dtype=complex)
-    w[:, 0::2] = a1 * w_minus + a2 * w_plus
-    w[:, 1::2] = a2 * w_minus + a1 * w_plus
+    nodes = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
+    a = np.array([drive.envelope.evaluate((np.arange(n) + x) * h) for x in nodes])
+    w = _coupling_weights(sys, drive, start + nodes * h, h, a)
     return _step_unitaries(w[0], w[1], h)
 
 
@@ -397,6 +388,48 @@ def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
     drive = drive_for_gate(NOT_GATE, envelope("gaussian", 40 * NS, fwhm_fraction=1e-7))
     with pytest.raises(NumericalContractError, match="the envelope is not resolved"):
         propagator(sys, drive, PropagationConfig())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_nonfinite_pulse_start_is_refused_before_any_step(mode, monkeypatch):
+    # a configuration error (exit 2), raised before any sample, phase or rotation is formed
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("a non-finite pulse start builds nothing")
+
+    for name in ("_workspace", "_node_envelope", "_rotation"):
+        monkeypatch.setattr(dynamics, name, nothing_built)
+    for start in (float("nan"), float("inf"), -float("inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pulse_start must be finite"):
+                propagator(TRANSMON, gaussian_drive(), PropagationConfig(mode=mode), start)
+
+
+@pytest.mark.parametrize("tau_ns,chunks", [(40.0, 1), (100.0, 2)])
+def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
+    # _coupling_weights is the whole weights stage: the per-layer trace, which wraps it by
+    # name, covers all weight work only if the step unitaries take the rows it returned
+    weights, rows = [], []
+    coupling_weights, step_unitaries = dynamics._coupling_weights, dynamics._step_unitaries
+
+    def traced_weights(*args):
+        weights.append(coupling_weights(*args))
+        return weights[-1]
+
+    def traced_steps(w0, w1, h, out=None):
+        rows.append((w0, w1))
+        return step_unitaries(w0, w1, h, out=out)
+
+    monkeypatch.setattr(dynamics, "_coupling_weights", traced_weights)
+    monkeypatch.setattr(dynamics, "_step_unitaries", traced_steps)
+    drive = gaussian_drive(tau_ns)
+    n = num_steps(TRANSMON, drive.envelope.tau, PropagationConfig())
+    assert -(-2 * n // CHUNK_STEPS) == chunks
+    propagator(TRANSMON, drive, PropagationConfig())
+    assert len(weights) == len(rows) == chunks
+    for w, pair in zip(weights, rows):
+        for wj, row in zip(w, pair):
+            assert np.shares_memory(row, wj) and np.array_equal(row, wj)
 
 
 @pytest.mark.parametrize(
