@@ -97,6 +97,21 @@ class Envelope:
         """Pulse area A * integral of g over [0, tau]; pi for an envelope from envelope()."""
         return self.amplitude * shape_area(self.kind, self.tau, self.width_param)
 
+    @property
+    def time_scale(self) -> float:
+        """The shape's shortest time scale, at most tau.
+
+        sigma for 'gaussian', tau / (2 beta) for 'sech' (its slope at the
+        centre), and tau for the kinds that span the whole window.
+        """
+        if self.kind == "gaussian":
+            scale = self.width_param * self.tau * _FWHM_TO_SIGMA
+        elif self.kind == "sech":
+            scale = self.tau / (2.0 * self.width_param)
+        else:
+            scale = self.tau
+        return min(scale, self.tau)
+
 
 def envelope(
     kind: str,

@@ -9,6 +9,7 @@ once and applying it to every input state and row that needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -116,6 +117,17 @@ def _row(
     return _Row(coords, sys, env, terms, inputs)
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of a few floats, summed left to right: np.mean's bits for fewer than 8 values.
+
+    Not the built-in sum, which is compensated on Python 3.12 and later.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> list[SweepPoint]:
     """Evaluate rows in order, building each distinct propagator once.
 
@@ -145,14 +157,14 @@ def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> lis
                 u_ideal = ideal if u_ideal is None else ideal @ u_ideal
                 start += row.env.tau
             outcomes = [unitary_outcome(u_exact, u_ideal, INPUT_STATES[s]) for s in row.inputs]
-            fids.append(np.mean([o.fidelity for o in outcomes]))
+            fids.append(_mean([o.fidelity for o in outcomes]))
         single = len(row.terms) == 1
         points.append(
             SweepPoint(
                 coordinates=row.coordinates,
-                fidelity=float(np.prod(fids)),
+                fidelity=math.prod(fids),
                 excited_population=(
-                    float(np.mean([o.excited_population for o in outcomes])) if single else None
+                    _mean([o.excited_population for o in outcomes]) if single else None
                 ),
                 overlap_phase=outcomes[0].overlap_phase if single and len(outcomes) == 1 else None,
             )

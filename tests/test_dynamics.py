@@ -39,7 +39,7 @@ from lambda_holo.gates import (
 )
 from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, drive_coefficients, envelope
 from lambda_holo.qstate import NumericalContractError
-from lambda_holo.sweeps import sequence_sweep
+from lambda_holo.sweeps import FIG1_DURATIONS_NS, sequence_sweep
 from oracles import (
     bright_state,
     dark_state,
@@ -72,15 +72,114 @@ def test_config_validation():
         LambdaSystem(-1.0, 1.0)
 
 
+def old_num_steps(sys, tau, cfg):
+    """The step count of the fixed floor: max(MIN_STEPS, the carrier count)."""
+    carrier = math.ceil(cfg.steps_per_cycle * tau * 2 * max(sys.fe0, sys.fe1) / (2 * math.pi))
+    return max(MIN_STEPS, carrier)
+
+
 def test_num_steps_rule():
     cfg = PropagationConfig()
     assert MIN_STEPS == 1000
-    assert num_steps(LambdaSystem(0.0, 0.0), 40 * NS, cfg) == MIN_STEPS
-    # 8 CF4 steps per counter-rotating period pi/f_max
+    zero = LambdaSystem(0.0, 0.0)
+    # the base of the floor, for a full-window envelope and for time_scale=None alike
+    assert num_steps(zero, 40 * NS, cfg) == 64
+    assert num_steps(zero, 40 * NS, cfg, 40 * NS) == 64
+    # the envelope term, 4 tau / scale, up to the cap MIN_STEPS
+    assert num_steps(zero, 40 * NS, cfg, 1 * NS) == 4 * 40
+    assert num_steps(zero, 40 * NS, cfg, 0.02 * NS) == MIN_STEPS
+    # the phase term, 256 (f_max tau)^(3/8) (tau / scale)^(1/2)
+    slow = LambdaSystem(1e9, 5e8)
+    assert num_steps(slow, 1 * NS, cfg) == 256
+    assert num_steps(slow, 1 * NS, cfg, 0.25 * NS) == 512
+    assert num_steps(slow, 8 * NS, cfg) == math.ceil(256 * 8**0.375)
+    # 8 CF4 steps per counter-rotating period pi/f_max, above the cap
     sys = LambdaSystem(1e10, 5e9)
     expected = math.ceil(8 * 40 * NS * 2e10 / (2 * math.pi))
     assert num_steps(sys, 40 * NS, cfg) == expected
-    assert num_steps(sys, 1 * NS, cfg) == MIN_STEPS
+    # a finer steps_per_cycle scales every term of the floor below the cap
+    fine = PropagationConfig(steps_per_cycle=16)
+    assert num_steps(zero, 40 * NS, fine) == 128
+    assert num_steps(slow, 1 * NS, fine) == 512
+    assert num_steps(zero, 40 * NS, fine, 1 * NS) == 2 * 4 * 40
+    assert num_steps(zero, 40 * NS, fine, 0.1 * NS) == MIN_STEPS
+
+
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_transmon_step_counts_are_unchanged(kind):
+    # x = f_max tau >= 50.8 over 1-100 ns puts the phase term above the cap, so a
+    # transmon pulse there keeps max(MIN_STEPS, carrier) steps and its propagator's bits
+    durations = [*FIG1_DURATIONS_NS, *np.logspace(0.0, 2.0, 2001)]
+    for spc in (8, 16, 80):
+        cfg = PropagationConfig(steps_per_cycle=spc)
+        for tau_ns in durations:
+            env = envelope(kind, tau_ns * NS)
+            n = num_steps(TRANSMON, env.tau, cfg, env.time_scale)
+            assert n == old_num_steps(TRANSMON, env.tau, cfg)
+
+
+def outcome_table(u, gate):
+    """(fidelity, excited population) of each input state, as rows."""
+    return np.array([
+        (o.fidelity, o.excited_population)
+        for o in (unitary_outcome(u, ideal_gate(gate), psi) for psi in INPUT_STATES.values())
+    ])
+
+
+# The validation space of the floor: every kind, Gaussian fwhm_fraction from 0.0016 to 1 and
+# sech_beta from 0.5 to 538, f_max tau from 0 to 380 (the carrier count reaches MIN_STEPS
+# at 392.7), fe1/fe0 ratios above and below 1, several gates, every input, and pulse
+# starts 0 and tau.
+FLOOR_ENVELOPES = [
+    *(("gaussian", w) for w in (0.0016, 0.01, 0.03, 0.25, 1.0)),
+    *(("sech", b) for b in (0.5, 5.3, 20.0, 538.0)),
+    ("parabola", None),
+    ("sin2", None),
+    ("square", None),
+]
+FLOOR_PHASES = (0.0, 0.004, 0.3, 3.0, 12.0, 35.0, 380.0)
+FLOOR_RATIOS = (TRANSMON.fe1 / TRANSMON.fe0, 0.3, 1.0, 1.7)
+FLOOR_GATES = (NOT_GATE, HADAMARD_GATE, GateSpec(theta=0.7, phi=-1.1))
+
+
+@pytest.mark.parametrize("kind,width", FLOOR_ENVELOPES)
+def test_floor_loses_no_accuracy_and_refuses_nothing(kind, width, monkeypatch):
+    # against 4x the fixed floor's count: the floor's count never exceeds the fixed
+    # floor's, resolves every envelope that count resolved, and errs by at most
+    # max(1e-9, 2x the fixed floor's error) in every input's fidelity and excited population
+    cfg = PropagationConfig()
+    forced = {}
+    monkeypatch.setattr(dynamics, "num_steps", lambda *args: forced["n"])
+
+    def build(n, sys, drive, start):
+        forced["n"] = n
+        try:
+            return propagator(sys, drive, cfg, pulse_start=start)
+        except NumericalContractError:
+            return None
+
+    for i, x in enumerate(FLOOR_PHASES):
+        tau = (1.0, 40.0, 100.0)[i % 3] * NS
+        env = envelope(kind, tau, fwhm_fraction=width or 0.25, sech_beta=width or 5.3)
+        ratio = FLOOR_RATIOS[i % len(FLOOR_RATIOS)]
+        f_max = x / tau
+        fe0, fe1 = (f_max, ratio * f_max) if ratio <= 1 else (f_max / ratio, f_max)
+        sys = LambdaSystem(fe0, fe1)
+        gate = FLOOR_GATES[i % len(FLOOR_GATES)]
+        drive = drive_for_gate(gate, env)
+        n_old = old_num_steps(sys, tau, cfg)
+        n = num_steps(sys, tau, cfg, env.time_scale)
+        assert n <= n_old == MIN_STEPS
+        for start in (0.0, tau):
+            before = build(n_old, sys, drive, start)
+            if before is None:
+                continue  # refused by the fixed floor too
+            after = build(n, sys, drive, start)
+            assert after is not None, (kind, width, x, n)
+            ref = outcome_table(build(4 * n_old, sys, drive, start), gate)
+            err_old = np.abs(outcome_table(before, gate) - ref).max(axis=0)
+            err_new = np.abs(outcome_table(after, gate) - ref).max(axis=0)
+            assert (err_new <= np.maximum(1e-9, 2 * err_old)).all(), (kind, width, x, n, err_new)
 
 
 def test_num_steps_rwa_is_one_rotation():

@@ -105,6 +105,18 @@ def test_zero_outside_window(kind):
     assert (env.evaluate(t) >= 0.0).all()
 
 
+def test_time_scale():
+    tau = 40 * NS
+    sigma = 0.1 * tau / (2 * math.sqrt(2 * math.log(2)))
+    assert envelope("gaussian", tau, fwhm_fraction=0.1).time_scale == pytest.approx(sigma)
+    assert envelope("sech", tau, sech_beta=20.0).time_scale == pytest.approx(tau / 40)
+    for kind in ("parabola", "sin2", "square"):
+        assert envelope(kind, tau).time_scale == tau
+    # never longer than the window: a wide Gaussian or a flat sech spans it
+    assert envelope("gaussian", tau, fwhm_fraction=5.0).time_scale == tau
+    assert envelope("sech", tau, sech_beta=0.1).time_scale == tau
+
+
 def test_invalid_envelope_parameters():
     with pytest.raises(ValueError):
         envelope("triangle", 40 * NS)

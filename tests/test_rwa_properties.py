@@ -82,7 +82,7 @@ def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, t
     gate = GateSpec(theta=theta, phi=phi)
     env = envelope(kind, 10.0**log10_tau_ns * 1e-9)
     full = propagator(ZERO, drive_for_gate(gate, env), PropagationConfig()) @ INPUT_STATES[label]
-    n = num_steps(ZERO, env.tau, PropagationConfig())
+    n = num_steps(ZERO, env.tau, PropagationConfig(), env.time_scale)
     h = env.tau / n
     nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
     sampled = 0.5 * h * env.evaluate(((np.arange(n)[:, None] + nodes) * h).ravel()).sum()

@@ -33,6 +33,19 @@ from lambda_holo.sweeps import (
 COORD_KEYS = {"mode", "fe0_rad_s", "fe1_rad_s", "envelope", "width_param", "tau_ns", "input"}
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, max_value=1e-6),
+        min_size=1,
+        max_size=7,
+    )
+)
+def test_mean_has_the_bits_of_np_mean(values):
+    got = sweeps._mean(values)
+    assert type(got) is float and got == float(np.mean(values))
+
+
 def test_sweep_point_rejects_out_of_range_fidelity():
     with pytest.raises(ValueError):
         SweepPoint(coordinates={}, fidelity=1.1)
