@@ -7,7 +7,6 @@ from .pulses import (
     ENVELOPE_KINDS,
     DriveSpec,
     Envelope,
-    drive_coefficients,
     envelope,
 )
 from .dynamics import (

@@ -1,6 +1,7 @@
 """Command-line front end: named sweep presets, custom runs, CSV/JSON emission.
 
-Exit codes: 0 success, 1 numerical-contract violation, 2 configuration error.
+Exit codes: 0 success, 1 numerical-contract violation, 2 configuration error,
+141 stdout closed by its reader (a broken pipe, as under SIGPIPE).
 Output files are deterministic: fixed column order (coordinates alphabetical,
 then fidelity, then diagnostics), fixed number formats, '\\n' line endings.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 from dataclasses import dataclass
 
@@ -86,17 +88,27 @@ def render_json(records: list[dict]) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-def _emit(records: list[dict], cfg: RunConfig) -> None:
+def _emit(records: list[dict], cfg: RunConfig) -> int:
+    """Write the records to --output or stdout; returns the exit status."""
     text = render_csv(records) if cfg.fmt == "csv" else render_json(records)
-    if cfg.output is None:
-        _sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if cfg.output is None:
+            _sys.stdout.write(text)
+            _sys.stdout.flush()
+        else:
             with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+    except OSError as exc:
+        if cfg.output is not None:
             raise ValueError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from exc
+        # what stdout still buffers goes to devnull, so that the flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader has gone: end as a process killed by SIGPIPE would
+        raise ValueError(f"cannot write to stdout: {exc.strerror}") from exc
+    if cfg.output is not None:
         print(f"wrote {len(records)} rows to {cfg.output}", file=_sys.stderr)
+    return 0
 
 
 def _gate_spec(cfg: RunConfig) -> GateSpec:
@@ -167,16 +179,12 @@ def run(cfg: RunConfig) -> int:
         return 1
     if not points:
         raise ValueError("the sweep grid is empty; there are no rows to write")
-    _emit([p.record() for p in points], cfg)
-    return 0
+    return _emit([p.record() for p in points], cfg)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", help="output path (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=FORMATS)
-    parser.add_argument(
-        "--workers", type=int, help="must be >= 1; points are evaluated in order in one process"
-    )
     parser.add_argument(
         "--steps-per-cycle",
         type=int,

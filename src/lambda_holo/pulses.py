@@ -27,58 +27,6 @@ _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _AREA_FRACTION = {"parabola": 2.0 / 3.0, "sin2": 0.5, "square": 1.0}
 
 
-def raw_shape(kind: str, tau: float, width_param: float | None, t) -> np.ndarray:
-    """Unnormalized envelope g(t), zero outside [0, tau]. Vectorized in t."""
-    tv = np.asarray(t, dtype=float)
-    outside = ~((tv >= 0.0) & (tv <= tau))
-    g = np.empty(tv.shape)
-    if kind == "gaussian":
-        sigma = width_param * tau * _FWHM_TO_SIGMA  # width_param = FWHM / tau
-        np.subtract(tv, 0.5 * tau, out=g)
-        np.square(g, out=g)
-        np.divide(g, -(2.0 * sigma * sigma), out=g)
-        np.exp(g, out=g)
-    elif kind in ("sech", "parabola"):
-        np.multiply(tv, 2.0, out=g)  # x = 2t/tau - 1 runs over [-1, 1] across the window
-        np.divide(g, tau, out=g)
-        np.subtract(g, 1.0, out=g)
-        if kind == "sech":
-            # for steep beta cosh overflows to inf in the tails, where 1/inf = 0 is the limit
-            with np.errstate(over="ignore"):
-                np.multiply(g, width_param, out=g)
-                np.cosh(g, out=g)
-            np.divide(1.0, g, out=g)
-        else:
-            np.square(g, out=g)
-            np.subtract(1.0, g, out=g)
-    elif kind == "sin2":
-        np.multiply(tv, np.pi, out=g)
-        np.divide(g, tau, out=g)
-        np.sin(g, out=g)
-        np.square(g, out=g)
-    elif kind == "square":
-        g.fill(1.0)
-    else:
-        raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
-    np.copyto(g, 0.0, where=outside)
-    return g
-
-
-def shape_area(kind: str, tau: float, width_param: float | None) -> float:
-    """Integral of the raw shape over [0, tau], in closed form."""
-    if kind == "gaussian":
-        # erf argument tau / (2 sqrt(2) sigma) as sqrt(ln 2) / width_param: sigma may underflow to 0
-        sigma = width_param * tau * _FWHM_TO_SIGMA
-        return sigma * math.sqrt(2.0 * math.pi) * math.erf(math.sqrt(math.log(2.0)) / width_param)
-    if kind == "sech":
-        # tau * gd(beta) / beta; gd(beta) = 2 atan(tanh(beta/2)) stays finite where
-        # the equal atan(sinh(beta)) overflows (beta > ~710)
-        return tau * (2.0 * math.atan(math.tanh(0.5 * width_param)) / width_param)
-    if kind in _AREA_FRACTION:
-        return _AREA_FRACTION[kind] * tau
-    raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
-
-
 @dataclass(frozen=True)
 class Envelope:
     """A pulse shape with duration tau (s) and amplitude scale (rad/s)."""
@@ -89,13 +37,59 @@ class Envelope:
     amplitude: float
 
     def evaluate(self, t) -> np.ndarray:
-        """A * g(t); zero outside [0, tau]."""
-        return np.multiply(raw_shape(self.kind, self.tau, self.width_param, t), self.amplitude)
+        """A * g(t); zero outside [0, tau]. Vectorized in t."""
+        kind, tau = self.kind, self.tau
+        tv = np.asarray(t, dtype=float)
+        outside = ~((tv >= 0.0) & (tv <= tau))
+        g = np.empty(tv.shape)
+        if kind == "gaussian":
+            sigma = self.width_param * tau * _FWHM_TO_SIGMA  # width_param = FWHM / tau
+            np.subtract(tv, 0.5 * tau, out=g)
+            np.square(g, out=g)
+            np.divide(g, -(2.0 * sigma * sigma), out=g)
+            np.exp(g, out=g)
+        elif kind in ("sech", "parabola"):
+            np.multiply(tv, 2.0, out=g)  # x = 2t/tau - 1 runs over [-1, 1] across the window
+            np.divide(g, tau, out=g)
+            np.subtract(g, 1.0, out=g)
+            if kind == "sech":
+                # for steep beta cosh overflows to inf in the tails, where 1/inf = 0 is the limit
+                with np.errstate(over="ignore"):
+                    np.multiply(g, self.width_param, out=g)
+                    np.cosh(g, out=g)
+                np.divide(1.0, g, out=g)
+            else:
+                np.square(g, out=g)
+                np.subtract(1.0, g, out=g)
+        elif kind == "sin2":
+            np.multiply(tv, np.pi, out=g)
+            np.divide(g, tau, out=g)
+            np.sin(g, out=g)
+            np.square(g, out=g)
+        elif kind == "square":
+            g.fill(1.0)
+        else:
+            raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
+        np.copyto(g, 0.0, where=outside)
+        return np.multiply(g, self.amplitude)
 
     @property
     def area(self) -> float:
-        """Pulse area A * integral of g over [0, tau]; pi for an envelope from envelope()."""
-        return self.amplitude * shape_area(self.kind, self.tau, self.width_param)
+        """Pulse area A * integral of g over [0, tau], in closed form; pi from envelope()."""
+        kind, tau, width = self.kind, self.tau, self.width_param
+        if kind == "gaussian":
+            # erf argument tau / (2 sqrt(2) sigma) as sqrt(ln 2) / width: sigma may underflow to 0
+            sigma = width * tau * _FWHM_TO_SIGMA
+            shape = sigma * math.sqrt(2.0 * math.pi) * math.erf(math.sqrt(math.log(2.0)) / width)
+        elif kind == "sech":
+            # tau * gd(beta) / beta; gd(beta) = 2 atan(tanh(beta/2)) stays finite where
+            # the equal atan(sinh(beta)) overflows (beta > ~710)
+            shape = tau * (2.0 * math.atan(math.tanh(0.5 * width)) / width)
+        elif kind in _AREA_FRACTION:
+            shape = _AREA_FRACTION[kind] * tau
+        else:
+            raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
+        return self.amplitude * shape
 
     @property
     def time_scale(self) -> float:
@@ -137,7 +131,7 @@ def envelope(
         width = sech_beta
     else:
         width = None
-    # raw_shape divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
+    # evaluate divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
     # needs no check: the area is at most sigma sqrt(2 pi), so a finite 4 A^2 (below)
     # forces 2 sigma^2 >= 4 pi / DBL_MAX
     if kind == "gaussian":
@@ -147,7 +141,7 @@ def envelope(
                 f"a gaussian envelope of duration {tau!r} s is not representable: its width, "
                 f"fwhm_fraction = {fwhm_fraction!r} of the duration, is out of floating-point range"
             )
-    area = shape_area(kind, tau, width)
+    area = Envelope(kind=kind, tau=tau, width_param=width, amplitude=1.0).area
     amplitude = math.pi / area if area > 0.0 else math.inf
     # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite
     if not math.isfinite(4.0 * amplitude * amplitude):
@@ -168,20 +162,6 @@ def check_angles(theta: float, phi: float) -> None:
         raise ValueError(f"phi must lie in [-pi, pi], got {phi!r}")
 
 
-def drive_coefficients(theta: float, phi: float) -> tuple[complex, complex]:
-    """Coefficient pair (c0, c1) with c0/c1 = -tan(theta/2) e^{i phi}, c1 real >= 0.
-
-    theta = pi makes the ratio singular; there the limit pair (-e^{i phi}, 0)
-    is returned explicitly.
-    """
-    check_angles(theta, phi)
-    if abs(theta - math.pi) < 1e-12:
-        return (-np.exp(1j * phi), 0.0 + 0.0j)
-    c0 = -math.sin(theta / 2.0) * np.exp(1j * phi)
-    c1 = complex(math.cos(theta / 2.0))
-    return (complex(c0), c1)
-
-
 @dataclass(frozen=True)
 class DriveSpec:
     """The two drive tones: a shared pi-normalized envelope times fixed coefficients."""
@@ -197,5 +177,13 @@ class DriveSpec:
 
     @classmethod
     def for_angles(cls, theta: float, phi: float, env: Envelope) -> "DriveSpec":
-        c0, c1 = drive_coefficients(theta, phi)
-        return cls(envelope=env, c0=c0, c1=c1)
+        """Drive with c0/c1 = -tan(theta/2) e^{i phi} and c1 real >= 0.
+
+        theta = pi makes the ratio singular; there the limit pair (-e^{i phi}, 0)
+        is used explicitly.
+        """
+        check_angles(theta, phi)
+        if abs(theta - math.pi) < 1e-12:
+            return cls(envelope=env, c0=-np.exp(1j * phi), c1=0.0 + 0.0j)
+        c0 = -math.sin(theta / 2.0) * np.exp(1j * phi)
+        return cls(envelope=env, c0=complex(c0), c1=complex(math.cos(theta / 2.0)))

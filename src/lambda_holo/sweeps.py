@@ -132,8 +132,9 @@ def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> lis
     """Evaluate rows in order, building each distinct propagator once.
 
     Propagators are keyed on (system, drive, pulse start, config) in a dict
-    that lives only for this call. workers is validated and kept for
-    compatibility; evaluation is sequential in the calling thread.
+    that lives only for this call. Evaluation is sequential in the calling
+    thread: workers is validated, and kept only because bench/workloads.py
+    passes it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")

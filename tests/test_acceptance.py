@@ -32,7 +32,7 @@ from lambda_holo.gates import (
     gate_outcome,
     ideal_gate,
 )
-from lambda_holo.pulses import DriveSpec, drive_coefficients, envelope
+from lambda_holo.pulses import DriveSpec, envelope
 from lambda_holo.qstate import unitarity_defect
 from lambda_holo.sweeps import (
     duration_average_sweep,
@@ -347,7 +347,8 @@ def test_criterion_7_numerical_contracts(table1_fids, table2_fids, table3_fids):
 
     # zero-frequency full dynamics equals the doubled-amplitude rotating-wave one
     env = envelope("gaussian", 40 * NS)
-    c0, c1 = drive_coefficients(NOT_GATE.theta, NOT_GATE.phi)
+    drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, env)
+    c0, c1 = drive.c0, drive.c1
     u_full = propagator(LambdaSystem(0.0, 0.0),
                         DriveSpec(envelope=env, c0=c0, c1=c1),
                         PropagationConfig(mode="full"))

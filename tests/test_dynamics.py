@@ -37,7 +37,7 @@ from lambda_holo.gates import (
     ideal_gate,
     unitary_outcome,
 )
-from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, drive_coefficients, envelope
+from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, Envelope, envelope
 from lambda_holo.qstate import NumericalContractError
 from lambda_holo.sweeps import FIG1_DURATIONS_NS, sequence_sweep
 from oracles import (
@@ -307,7 +307,9 @@ def test_rotation_is_the_batch_closed_form_bit_for_bit():
         c0, c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
         norm = math.hypot(abs(c0), abs(c1))
         cases.append((c0 / norm, c1 / norm, rng.uniform(0.0, 4 * math.pi)))
-    cases += [(*drive_coefficients(theta, 0.7), math.pi) for theta in (0.0, math.pi)]
+    env = envelope("square", 40 * NS)
+    limits = [DriveSpec.for_angles(theta, 0.7, env) for theta in (0.0, math.pi)]
+    cases += [(drive.c0, drive.c1, math.pi) for drive in limits]
     for c0, c1, area in cases:
         batch = _step_unitaries(np.array([c0]), np.array([c1]), area)
         assert np.array_equal(_rotation(c0, c1, area), batch[0]), (c0, c1, area)

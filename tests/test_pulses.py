@@ -8,13 +8,14 @@ from lambda_holo.pulses import (
     DEFAULT_SECH_BETA,
     ENVELOPE_KINDS,
     DriveSpec,
-    drive_coefficients,
+    Envelope,
     envelope,
-    raw_shape,
 )
 
 NS = 1e-9
 DURATIONS_NS = (2.5, 10.0, 40.0, 100.0)
+# the coefficient pair of DriveSpec.for_angles does not depend on the envelope
+ENV = envelope("square", 40 * NS)
 
 
 def reference_area(env, points=2**20):
@@ -129,7 +130,7 @@ def test_invalid_envelope_parameters():
     with pytest.raises(ValueError):
         envelope("sech", 40 * NS, sech_beta=-2.0)
     with pytest.raises(ValueError):
-        raw_shape("triangle", 40 * NS, None, 0.0)
+        Envelope("triangle", 40 * NS, None, 1.0).evaluate(0.0)
     # pi / area overflows, the amplitude's square 4 A^2 overflows (gaussian 1e-169),
     # or a Gaussian's 2 sigma^2 overflows (1e291)
     too_short = [(kind, 1e-314) for kind in ENVELOPE_KINDS] + [("gaussian", 5e-324)]
@@ -139,25 +140,29 @@ def test_invalid_envelope_parameters():
 
 
 def test_not_gate_ratio_is_one():
-    c0, c1 = drive_coefficients(math.pi / 2, math.pi)
+    drive = DriveSpec.for_angles(math.pi / 2, math.pi, ENV)
+    c0, c1 = drive.c0, drive.c1
     assert abs(c0 / c1 - 1.0) < 1e-12
 
 
 def test_quarter_theta_ratio():
     # (pi/4, 0) gives ratio -tan(pi/8)
-    c0, c1 = drive_coefficients(math.pi / 4, 0.0)
+    drive = DriveSpec.for_angles(math.pi / 4, 0.0, ENV)
+    c0, c1 = drive.c0, drive.c1
     assert abs(c0 / c1 + math.tan(math.pi / 8)) < 1e-12
 
 
 def test_theta_zero_drives_only_second_tone():
-    c0, c1 = drive_coefficients(0.0, 0.5)
+    drive = DriveSpec.for_angles(0.0, 0.5, ENV)
+    c0, c1 = drive.c0, drive.c1
     assert c0 == 0.0
     assert c1 == 1.0
 
 
 def test_theta_pi_limit_pair():
     phi = 0.7
-    c0, c1 = drive_coefficients(math.pi, phi)
+    drive = DriveSpec.for_angles(math.pi, phi, ENV)
+    c0, c1 = drive.c0, drive.c1
     assert c1 == 0.0
     assert abs(c0 + np.exp(1j * phi)) < 1e-12
 
@@ -165,17 +170,18 @@ def test_theta_pi_limit_pair():
 def test_coefficient_normalization_grid():
     for theta in np.linspace(0.0, math.pi, 9):
         for phi in np.linspace(-math.pi, math.pi, 9):
-            c0, c1 = drive_coefficients(float(theta), float(phi))
+            drive = DriveSpec.for_angles(float(theta), float(phi), ENV)
+            c0, c1 = drive.c0, drive.c1
             assert abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) < 1e-15
 
 
 def test_coefficient_domain_errors():
     with pytest.raises(ValueError):
-        drive_coefficients(-0.1, 0.0)
+        DriveSpec.for_angles(-0.1, 0.0, ENV)
     with pytest.raises(ValueError):
-        drive_coefficients(math.pi / 2, 4.0)
+        DriveSpec.for_angles(math.pi / 2, 4.0, ENV)
     with pytest.raises(ValueError):
-        drive_coefficients(math.nan, 0.0)
+        DriveSpec.for_angles(math.nan, 0.0, ENV)
 
 
 def test_constant_ratio_condition():
