@@ -14,21 +14,23 @@ the two Gauss-Legendre nodes t-+ = (k + 1/2 -+ sqrt(3)/6) h and applies
     exp(-i h (A2 H- + A1 H+)) exp(-i h (A1 H- + A2 H+)),  A1,2 = 1/4 +- sqrt(3)/6,
 
 the right-hand factor first. A combination of coupling-only Hamiltonians is
-coupling-only, so each factor is one closed-form rotation: unitary to
+coupling-only, so each factor is one closed-form rotation, and the step, the
+product of the two, has a closed form too (_step_unitaries): unitary to
 rounding, with a discretization error that falls 16x per halving of h. A step
 costs two exponentials; at the default 8 steps per counter-rotating period a
 40 ns transmon pulse needs 16 exponentials per period. That propagator (5,176
-steps) takes about 2.6-3.0 ms (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
+steps) takes about 2.5-2.7 ms (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
 
 A full-mode propagator is built in chunks of CHUNK_STEPS factors, that is
 CHUNK_STEPS / 2 steps. A first pass samples the envelope at every node and
 refuses the pulse if the two-node Gauss-Legendre area misses the exact one,
 before any step is built. Then one weights stage, _coupling_weights, turns
-each chunk's node samples into its interleaved factor weights, the factors
-are written into one workspace per thread and multiplied there, and the
-chunk's product is folded into the 3x3 result. The workspace holds only the
-factor stack and the product's levels (312 B per factor) and is kept across
-chunks and calls.
+each chunk's node samples into its interleaved factor weights,
+_step_unitaries writes the chunk's step unitaries into one workspace per
+thread, time_ordered_product multiplies them there, and the chunk's product
+is folded into the 3x3 result. The workspace holds the step stack and one
+scratch area that the step kernel's temporaries and the product's levels
+share (480 B per step), and is kept across chunks and calls.
 Memory is therefore bounded by the chunk, not by the step count; MAX_STEPS
 bounds the time. Each node lies on a uniform grid t_k = t0 + k h, so the
 carrier phases exp(-2i f t_k) of a chunk of m steps come from one table of
@@ -82,10 +84,14 @@ _ENVELOPE_STEPS = 4
 MAX_STEPS = 5_000_000
 
 # Factors (two per CF4 step) per chunk of a full-mode propagator. The per-thread workspace
-# holds this many factors, 312 B each (5.1 MB). Against this size, in interleaved
+# holds CHUNK_STEPS / 2 steps, 480 B each (3.9 MB). Against this size, in interleaved
 # single-propagator runs (TRANSMON Gaussian NOT at 40 and 100 ns, 2-core VM, numpy 2.4.6),
 # chunks of 8,192 factors were 11-26% slower, 4,096 31-55% and 2,048 65-105%.
 CHUNK_STEPS = 16384
+
+# Complex numbers of workspace scratch per step: the step kernel's temporaries take 21,
+# the product's two level buffers and its row buffer 9 + 1.5 (for half as many products).
+_SCRATCH_PER_STEP = 21
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
 # outer[q] * inner[r], with outer[q] = exp(-2i f (t0 + q B h)) and inner[r] = exp(-2i f r h).
@@ -121,7 +127,11 @@ class PropagationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (math.isfinite(self.steps_per_cycle) and self.steps_per_cycle >= 8):
+        try:
+            valid = math.isfinite(self.steps_per_cycle) and self.steps_per_cycle >= 8
+        except OverflowError:  # an int beyond floating-point range
+            valid = False
+        if not valid:
             raise ValueError(
                 f"steps_per_cycle must be finite and >= 8, got {self.steps_per_cycle!r}"
             )
@@ -195,29 +205,36 @@ def num_steps(
 
 
 class _Workspace:
-    """The factor stack and the product's level buffers, with room for `size` factors."""
+    """Room for `size` step unitaries, and the scratch that the step kernel and the product share.
+
+    _step_unitaries takes the scratch for its per-factor and per-step
+    temporaries, and time_ordered_product then takes its level buffers (levels
+    and row) from the same memory.
+    """
 
     def __init__(self, size: int):
         self.size = size
         self.unitaries = np.empty((DIM, DIM, size), dtype=complex)
+        self.scratch = np.empty(_SCRATCH_PER_STEP * size, dtype=complex)
         half = (size + 1) // 2
-        self.levels = np.empty((2, DIM, DIM, half), dtype=complex)
-        self.row = np.empty((DIM, half), dtype=complex)
+        n_levels = 2 * DIM * DIM * half
+        self.levels = self.scratch[:n_levels].reshape(2, DIM, DIM, half)
+        self.row = self.scratch[n_levels : n_levels + DIM * half].reshape(DIM, half)
 
 
 _local = threading.local()
 
 
 def _workspace(size: int) -> _Workspace:
-    """A workspace with room for `size` factors: this thread's kept one when it is large enough.
+    """A workspace with room for `size` steps: this thread's kept one when it is large enough.
 
     A new workspace replaces the kept one only if it has room for at most
-    CHUNK_STEPS factors, so what a thread keeps stays bounded.
+    CHUNK_STEPS / 2 steps, so what a thread keeps stays bounded.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
         ws = _Workspace(size)
-        if size <= CHUNK_STEPS:
+        if size <= CHUNK_STEPS // 2:
             _local.workspace = ws
     return ws
 
@@ -262,71 +279,126 @@ def _coupling_weights(
     return out
 
 
-def _step_unitaries(w0: np.ndarray, w1: np.ndarray, h: float, out=None) -> np.ndarray:
-    """exp(-i H_k h) for a batch of coupling-only Hamiltonians, in closed form.
+def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
+    """The CF4 step unitaries S_k = F2_k F1_k of m steps, in closed form, from (2, 2m) weights.
 
-    Each H has the single-excitation structure r(|u><e| + |e><u|) with
-    u the unit vector along (conj(w0), conj(w1)), so the exponential is a
-    rotation by r*h in the {u, e} plane and identity on the orthogonal
-    complement. It matches the eigendecomposition route (exp of the 3x3
-    Hermitian matrix by np.linalg.eigh, kept in the tests' oracles) to
-    rounding, but vectorizes over all steps. The entries are written into
-    a (3, 3, n) component array (out, when it is given) and returned as its
-    (n, 3, 3) view, the layout time_ordered_product multiplies without
-    copying.
+    Columns 2k and 2k + 1 of w hold the weights (w0, w1) of the factors F1_k
+    and F2_k, interleaved as _coupling_weights returns them. A factor is
+    exp(-i H h) for a coupling-only H = r (|u><e| + |e><u|), with r = |w| and
+    u = conj(w) / r (u = 0 for an idle factor, w = 0): a rotation by r h in the
+    {u, e} plane and identity on the orthogonal complement,
+
+        F = [[I + (c - 1) u u^dagger, -i s u], [-i s u^dagger, c]],  c, s = cos, sin(r h).
+
+    With a for F1, b for F2 and g = u_b^dagger u_a, the product F2 F1 is
+
+        {0, 1} block  I + (c_a - 1) u_a u_a^dagger + u_b v^T,
+                      v = (c_b - 1) conj(u_b) + K conj(u_a),  K = (c_a - 1)(c_b - 1) g - s_a s_b
+        column e      -i (s_a u_a + ((c_b - 1) s_a g + s_b c_a) u_b)
+        row e         -i (s_b u_b^dagger + ((c_a - 1) s_b g + c_b s_a) u_a^dagger)
+        corner        c_a c_b - s_a s_b g
+
+    It matches the product of the two factors' exponentials (np.linalg.eigh in
+    the tests' oracles) to rounding, but vectorizes over all steps. The
+    entries are written into a (3, 3, m) component array (out, when it is
+    given) and returned as its (m, 3, 3) view, the layout time_ordered_product
+    multiplies without copying. The temporaries live in this thread's
+    workspace scratch, which time_ordered_product reuses afterwards.
     """
-    n = w0.shape[0]
-    u = np.empty((DIM, DIM, n), dtype=complex) if out is None else out
-    r = np.abs(w0)
+    m = w.shape[1] // 2
+    s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
+    buf = _workspace(m).scratch
+    # _SCRATCH_PER_STEP m complex numbers; per factor, as (factor a or b, tone, step): u and
+    # conj(u), then c - 1, c and s
+    u, cu = buf[: 8 * m].reshape(2, 2, 2, m)
+    reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
+    p, q = buf[11 * m : 15 * m].view(float).reshape(2, 4, m)
+    coef = buf[15 * m : 19 * m].reshape(4, m)
+    tmp = buf[19 * m : 21 * m].reshape(2, m)
+    cm1, cos, sin = reals
+    wf = w.reshape(2, m, 2).transpose(2, 0, 1)
+    r = cm1  # r, then the angle r h, until c - 1 is formed
+    np.abs(wf[:, 0], out=r)
     np.square(r, out=r)
-    c = np.abs(w1)
-    np.square(c, out=c)
-    np.add(r, c, out=r)
+    np.abs(wf[:, 1], out=cos)
+    np.square(cos, out=cos)
+    np.add(r, cos, out=r)
     np.sqrt(r, out=r)
-    inv_r = np.divide(1.0, r, out=np.zeros(n), where=r > 0.0)
-    # u0 and u1, held in column 2 until the last step (an idle step has u = 0)
-    u_col = u[:2, 2]
-    for uj, wj in zip(u_col, (w0, w1)):
-        np.conjugate(wj, out=uj)
-        _scale(uj, inv_r)
-    np.multiply(r, h, out=r)  # the rotation angle
-    np.cos(r, out=c)
-    s = np.sin(r)
-    cm1 = np.subtract(c, 1.0, out=r)
-    # the {0, 1} block: identity + (cos - 1) u u^dagger
+    inv_r = sin  # until s is formed; 0 for an idle factor, so that its u is 0
+    inv_r.fill(0.0)
+    np.divide(1.0, r, out=inv_r, where=r > 0.0)
+    np.multiply(wf, inv_r[:, None], out=cu)
+    np.conjugate(cu, out=u)
+    np.multiply(r, h, out=r)
+    np.cos(r, out=cos)
+    np.sin(r, out=sin)
+    np.subtract(cos, 1.0, out=cm1)
+    ua, ub = u
+    cua, cub = cu
+    (am1, bm1), (ca, cb), (sa, sb) = cm1, cos, sin
+    # g, held in the corner until the corner is formed
+    g = s[2, 2]
+    np.multiply(cub, ua, out=tmp)
+    np.add(tmp[0], tmp[1], out=g)
+    # (K, column e's, row e's, corner's) coefficient = g p + q, with real p and q
+    np.multiply(reals[0::2, 0], bm1, out=p[:2])  # (c_a - 1)(c_b - 1), s_a (c_b - 1)
+    np.multiply(reals[0::2, 0], sb, out=p[2:])  # (c_a - 1) s_b, s_a s_b
+    np.negative(p[3], out=p[3])
+    q[0] = p[3]
+    np.multiply(sb, ca, out=q[1])
+    np.multiply(cb, sa, out=q[2])
+    np.multiply(ca, cb, out=q[3])
+    np.multiply(g, p, out=coef)
+    coef.real += q
+    k, col_coef, row_coef, corner = coef
+    # the {0, 1} block: u_b v^T, with v held in row e until row e is formed ...
+    v = s[2, :2]
+    np.multiply(cua, k, out=v)
+    np.multiply(cub, bm1, out=tmp)
+    v += tmp
+    np.multiply(ub[:, None], v[None], out=s[:2, :2])
+    # ... plus I + (c_a - 1) u_a u_a^dagger in _rotation's operation order, so that a step
+    # whose F2 is idle is F1 to the bit
+    d, e = p[:2], q[:2]
+    np.square(ua.real, out=d)
+    np.square(ua.imag, out=e)
+    np.add(d, e, out=d)
+    np.multiply(d, am1, out=d)
+    np.add(d, 1.0, out=d)
     for j in range(2):
-        d = u[j, j]
-        np.square(u_col[j].real, out=d.real)
-        np.square(u_col[j].imag, out=d.imag)
-        np.add(d.real, d.imag, out=d.real)
-        np.multiply(d.real, cm1, out=d.real)
-        np.add(d.real, 1.0, out=d.real)
-        d.imag.fill(0.0)
-    np.conjugate(u_col[1], out=u[0, 1])
-    np.multiply(u[0, 1], u_col[0], out=u[0, 1])
-    _scale(u[0, 1], cm1)
-    np.conjugate(u[0, 1], out=u[1, 0])
-    # the couplings to |e>: -i sin * u (column 2) and -i sin * conj(u) (row 2)
-    for j in range(2):
-        np.conjugate(u_col[j], out=u[2, j])
-        for z in (u[2, j], u_col[j]):
-            np.multiply(z, -1j, out=z)
-            _scale(z, s)
-    u[2, 2].real = c
-    u[2, 2].imag.fill(0.0)
-    return u.transpose(2, 0, 1)
+        s[j, j].real += d[j]
+    t = tmp[0]
+    np.conjugate(ua[1], out=t)
+    np.multiply(t, ua[0], out=t)
+    np.multiply(t, am1, out=t)
+    s[0, 1] += t
+    np.conjugate(t, out=t)
+    s[1, 0] += t
+    # the couplings to |e>
+    col = s[:2, 2]
+    np.multiply(ub, col_coef, out=col)
+    np.multiply(ua, sa, out=tmp)
+    col += tmp
+    col *= -1j
+    row = s[2, :2]
+    np.multiply(cua, row_coef, out=row)
+    np.multiply(cub, sb, out=tmp)
+    row += tmp
+    row *= -1j
+    s[2, 2] = corner
+    return s.transpose(2, 0, 1)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    While a level has at least _MATMUL_BELOW factors, it multiplies adjacent
+    While a level has at least _MATMUL_BELOW matrices, it multiplies adjacent
     pairs with a 3x3 product unrolled over the inner index, on (3, 3, m)
-    component arrays in this thread's workspace, so every operation is a
-    long vectorized loop; a stack from _step_unitaries is already laid out
-    that way. A stack of more than CHUNK_STEPS factors gets level buffers
+    component arrays in this thread's workspace scratch, so every operation is
+    a long vectorized loop; a stack from _step_unitaries is already laid out
+    that way. A stack of more than CHUNK_STEPS / 2 matrices gets level buffers
     that are not kept. The shorter levels go to np.matmul. An odd last
-    factor carries to the next level.
+    matrix carries to the next level.
     """
     p = unitaries.transpose(1, 2, 0)
     ws = _workspace(p.shape[2])
@@ -359,9 +431,10 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
 def _rotation(w0: complex, w1: complex, h: float) -> np.ndarray:
     """exp(-i H h) for one coupling-only H with weights w0 and w1 (not both 0), in scalars.
 
-    The same closed form as _step_unitaries, in its operation order, as one
-    contiguous 3x3: the RWA propagator, without the cost of numpy calls on
-    one-element arrays.
+    The closed form of one factor of _step_unitaries, in its operation order,
+    as one contiguous 3x3, so that it equals the step whose first factor has
+    these weights and whose second is idle: the RWA propagator, without the
+    cost of numpy calls on one-element arrays.
     """
     r0, r1 = np.abs([w0, w1]).tolist()  # numpy's complex modulus, which math.hypot need not match
     r = math.sqrt(r0 * r0 + r1 * r1)
@@ -395,7 +468,7 @@ def propagator(
 
     In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
     In 'full' mode it is the product of the CF4 steps, built in chunks of at
-    most CHUNK_STEPS factors, each stacked and multiplied in this thread's
+    most CHUNK_STEPS / 2 steps, each stacked and multiplied in this thread's
     workspace, and it is refused unless the steps resolve the envelope: its
     two-node Gauss-Legendre area (h/2) sum(a- + a+) must match the exact area
     to PULSE_AREA_TOL (relative). A non-finite pulse_start raises ValueError.
@@ -409,8 +482,8 @@ def propagator(
         tau = drive.envelope.tau
         n = num_steps(sys, tau, cfg, drive.envelope.time_scale)
         h = tau / n
-        ws = _workspace(min(2 * n, CHUNK_STEPS))
         size = CHUNK_STEPS // 2
+        ws = _workspace(min(n, size))
         chunks = [(first, min(size, n - first)) for first in range(0, n, size)]
         # the area check comes before any step is built; a one-chunk pulse keeps its samples
         sampled = 0.0
@@ -429,8 +502,8 @@ def propagator(
                 a = _node_envelope(drive, first, m, h)
             t0 = pulse_start + (first + _CF4_NODES) * h
             w = _coupling_weights(sys, drive, t0, h, a)
-            factors = _step_unitaries(w[0], w[1], h, out=ws.unitaries[:, :, : 2 * m])
-            u = time_ordered_product(factors) @ u
+            steps = _step_unitaries(w, h, out=ws.unitaries[:, :, :m])
+            u = time_ordered_product(steps) @ u
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise NumericalContractError(

@@ -166,6 +166,14 @@ def test_stdout_write_failure_exits_2():
     assert "Traceback" not in err
 
 
+def test_steps_per_cycle_beyond_float_range_exits_2():
+    # an int that math.isfinite cannot convert is a configuration error, not a traceback
+    code, err = run_cli_process(["run", "--steps-per-cycle", "1" + "0" * 400], subprocess.PIPE)
+    assert code == 2
+    assert "steps_per_cycle must be finite and >= 8" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2():
     # table3 takes its durations from --durations-ns, so it has no --tau-ns
     for args in (
