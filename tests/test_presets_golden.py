@@ -1,7 +1,9 @@
-"""Every CLI preset's default CSV, compared byte for byte with tests/golden/.
+"""Every CLI preset's default CSV, in both modes, compared byte for byte with tests/golden/.
 
-A change that is meant to move a printed digit regenerates the file with
-`lambda-holo <preset> -o tests/golden/<preset>.csv` and says why.
+The full-mode golden of a preset is tests/golden/<preset>.csv and the RWA one
+tests/golden/<preset>_rwa.csv. A change that is meant to move a printed digit
+regenerates the file with `lambda-holo <preset> [--mode rwa] -o <golden>` and
+says why.
 """
 
 from pathlib import Path
@@ -12,10 +14,13 @@ from lambda_holo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PRESETS = ("table1", "table2", "table3", "fig1", "fig2", "run")
+CASES = [(preset, "full", preset) for preset in PRESETS] + [
+    (preset, "rwa", f"{preset}_rwa") for preset in PRESETS
+]
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_default_csv_matches_golden(preset, tmp_path):
-    out = tmp_path / f"{preset}.csv"
-    assert main([preset, "-o", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+@pytest.mark.parametrize("preset, mode, golden", CASES, ids=[case[2] for case in CASES])
+def test_default_csv_matches_golden(preset, mode, golden, tmp_path):
+    out = tmp_path / f"{golden}.csv"
+    assert main([preset, "--mode", mode, "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{golden}.csv").read_bytes()
