@@ -18,24 +18,22 @@ coupling-only, so each factor is one closed-form rotation, and the step, the
 product of the two, has a closed form too (_step_unitaries): unitary to
 rounding, with a discretization error that falls 16x per halving of h. A step
 costs two exponentials; at the default 8 steps per counter-rotating period a
-40 ns transmon pulse needs 16 exponentials per period. That propagator (5,176
-steps) takes about 2.5-2.7 ms (median of 40 calls, 2-core Xeon VM, numpy 2.4.6).
+40 ns transmon pulse (5,176 steps) needs 16 exponentials per period.
 
-A full-mode propagator is built in chunks of CHUNK_STEPS factors, that is
-CHUNK_STEPS / 2 steps. A first pass samples the envelope at every node and
-refuses the pulse if the two-node Gauss-Legendre area misses the exact one,
-before any step is built. Then one weights stage, _coupling_weights, turns
-each chunk's node samples into its interleaved factor weights,
-_step_unitaries writes the chunk's step unitaries into one workspace per
-thread, time_ordered_product multiplies them there, and the chunk's product
-is folded into the 3x3 result. The workspace holds the step stack and one
-scratch area that the step kernel's temporaries and the product's levels
-share (480 B per step), and is kept across chunks and calls.
-Memory is therefore bounded by the chunk, not by the step count; MAX_STEPS
-bounds the time. Each node lies on a uniform grid t_k = t0 + k h, so the
-carrier phases exp(-2i f t_k) of a chunk of m steps come from one table of
-B + 2 ceil(m / B) complex exponentials per tone (B = _PHASE_BLOCK), at one
-complex multiply per node.
+A full-mode propagator is built in chunks of at most CHUNK_STEPS steps. A first
+pass samples the envelope at every node and refuses the pulse if the two-node
+Gauss-Legendre area misses the exact one, before any step is built. Then one
+weights stage, _coupling_weights, turns each chunk's node samples into its
+factor weights, as (factor, tone, step), _step_unitaries writes the chunk's
+step unitaries into one workspace per thread, time_ordered_product multiplies
+them there, and the chunk's product is folded into the 3x3 result. The
+workspace holds the step stack and one scratch area that the step kernel's
+temporaries and the product's levels share (480 B per step), and is kept
+across chunks and calls. Memory is therefore bounded by the chunk, not by the
+step count; MAX_STEPS bounds the time. Each node lies on a uniform grid
+t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
+come from one table of B + 2 ceil(m / B) complex exponentials per tone
+(B = _PHASE_BLOCK), at one complex multiply per node.
 """
 
 from __future__ import annotations
@@ -83,14 +81,16 @@ _ENVELOPE_STEPS = 4
 # larger count is refused, not run.
 MAX_STEPS = 5_000_000
 
-# Factors (two per CF4 step) per chunk of a full-mode propagator. The per-thread workspace
-# holds CHUNK_STEPS / 2 steps, 480 B each (3.9 MB). Against this size, in interleaved
-# single-propagator runs (TRANSMON Gaussian NOT at 40 and 100 ns, 2-core VM, numpy 2.4.6),
-# chunks of 8,192 factors were 11-26% slower, 4,096 31-55% and 2,048 65-105%.
-CHUNK_STEPS = 16384
+# CF4 steps per chunk of a full-mode propagator. The per-thread workspace holds CHUNK_STEPS
+# steps, 480 B each (3.9 MB). Against this size, in interleaved single-propagator runs
+# (TRANSMON Gaussian NOT at 40 and 100 ns, 2-core VM, numpy 2.4.6), chunks of 4,096 steps
+# were 11-26% slower, 2,048 steps 31-55% and 1,024 steps 65-105%.
+CHUNK_STEPS = 8192
 
-# Complex numbers of workspace scratch per step: the step kernel's temporaries take 21,
-# the product's two level buffers and its row buffer 9 + 1.5 (for half as many products).
+# Complex numbers of workspace scratch per step. The step kernel's temporaries take 21: u
+# and conj(u) of both factors 8, their c - 1, c and s 3, the coefficients' real parts 4
+# (then (c_a - 1) u_a u_a^dagger), the coefficients 4 and a two-row buffer 2. The
+# product's two level buffers and its row buffer take 9 + 1.5, for half as many products.
 _SCRATCH_PER_STEP = 21
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
@@ -117,8 +117,7 @@ class PropagationConfig:
     of two exponentials each; a pulse whose carrier needs fewer steps gets a
     resolution floor set by its carrier phase and envelope, at most MIN_STEPS
     (see num_steps). The default of 8 keeps a 40 ns transmon NOT gate within
-    1.5e-6 (max entry) of the converged propagator and builds it in about
-    2.5-3 ms.
+    1.5e-6 (max entry) of the converged propagator.
     """
 
     mode: str = "full"
@@ -229,18 +228,18 @@ def _workspace(size: int) -> _Workspace:
     """A workspace with room for `size` steps: this thread's kept one when it is large enough.
 
     A new workspace replaces the kept one only if it has room for at most
-    CHUNK_STEPS / 2 steps, so what a thread keeps stays bounded.
+    CHUNK_STEPS steps, so what a thread keeps stays bounded.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
         ws = _Workspace(size)
-        if size <= CHUNK_STEPS // 2:
+        if size <= CHUNK_STEPS:
             _local.workspace = ws
     return ws
 
 
 def _scale(z: np.ndarray, x: np.ndarray) -> None:
-    """z *= x in place, for complex z and real x of the same shape."""
+    """z *= x in place, for complex z and real x that broadcasts to the shape of z."""
     np.multiply(z.real, x, out=z.real)
     np.multiply(z.imag, x, out=z.imag)
 
@@ -248,13 +247,13 @@ def _scale(z: np.ndarray, x: np.ndarray) -> None:
 def _coupling_weights(
     sys: LambdaSystem, drive: DriveSpec, t0: np.ndarray, h: float, a: np.ndarray
 ) -> np.ndarray:
-    """The full-mode CF4 factor weights of m steps, interleaved as (2, 2m), from node samples.
+    """The full-mode CF4 factor weights of m steps, as (factor, tone, step), from node samples.
 
     a is (2, m), the envelope on the pulse's own clock at the nodes
     t- = t0[0] + k h and t+ = t0[1] + k h; the carrier phases run on the
     absolute clock of t0. With x = A1 w- and y = A2 w+, the node weights
     w_j = c_j a (1 + exp(-2i f_j t)) of the samples scaled by A1 and A2,
-    factor 2k is x + y = A1 w- + A2 w+ and factor 2k + 1 is
+    the first factor of step k weighs x + y = A1 w- + A2 w+ and the second
     (A2 / A1) x + (A1 / A2) y = A2 w- + A1 w+. The phases come from the
     _PHASE_BLOCK table, to within a few ulp of the largest |2 f t|.
     """
@@ -271,22 +270,22 @@ def _coupling_weights(
     w += c
     _scale(w, a * [[_CF4_A1], [_CF4_A2]])
     x, y = w[:, 0], w[:, 1]
-    out = np.empty((2, 2 * m), dtype=complex)
-    np.add(x, y, out=out[:, 0::2])
+    out = np.empty((2, 2, m), dtype=complex)
+    np.add(x, y, out=out[0])
     x *= _CF4_A2 / _CF4_A1
     y *= _CF4_A1 / _CF4_A2
-    np.add(x, y, out=out[:, 1::2])
+    np.add(x, y, out=out[1])
     return out
 
 
 def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
-    """The CF4 step unitaries S_k = F2_k F1_k of m steps, in closed form, from (2, 2m) weights.
+    """The CF4 step unitaries S_k = F2_k F1_k of m steps, in closed form, from (2, 2, m) weights.
 
-    Columns 2k and 2k + 1 of w hold the weights (w0, w1) of the factors F1_k
-    and F2_k, interleaved as _coupling_weights returns them. A factor is
-    exp(-i H h) for a coupling-only H = r (|u><e| + |e><u|), with r = |w| and
-    u = conj(w) / r (u = 0 for an idle factor, w = 0): a rotation by r h in the
-    {u, e} plane and identity on the orthogonal complement,
+    w[0] and w[1] hold the tone weights (w0, w1) of the factors F1 and F2 of
+    every step, as _coupling_weights returns them. A factor is exp(-i H h) for
+    a coupling-only H = r (|u><e| + |e><u|), with r = |w| and u = conj(w) / r
+    (u = 0 for an idle factor, w = 0): a rotation by r h in the {u, e} plane
+    and identity on the orthogonal complement,
 
         F = [[I + (c - 1) u u^dagger, -i s u], [-i s u^dagger, c]],  c, s = cos, sin(r h).
 
@@ -305,29 +304,28 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     multiplies without copying. The temporaries live in this thread's
     workspace scratch, which time_ordered_product reuses afterwards.
     """
-    m = w.shape[1] // 2
+    m = w.shape[2]
     s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
     buf = _workspace(m).scratch
     # _SCRATCH_PER_STEP m complex numbers; per factor, as (factor a or b, tone, step): u and
     # conj(u), then c - 1, c and s
     u, cu = buf[: 8 * m].reshape(2, 2, 2, m)
     reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
-    p, q = buf[11 * m : 15 * m].view(float).reshape(2, 4, m)
+    pq = buf[11 * m : 15 * m]
     coef = buf[15 * m : 19 * m].reshape(4, m)
     tmp = buf[19 * m : 21 * m].reshape(2, m)
     cm1, cos, sin = reals
-    wf = w.reshape(2, m, 2).transpose(2, 0, 1)
     r = cm1  # r, then the angle r h, until c - 1 is formed
-    np.abs(wf[:, 0], out=r)
+    np.abs(w[:, 0], out=r)
     np.square(r, out=r)
-    np.abs(wf[:, 1], out=cos)
+    np.abs(w[:, 1], out=cos)
     np.square(cos, out=cos)
     np.add(r, cos, out=r)
     np.sqrt(r, out=r)
     inv_r = sin  # until s is formed; 0 for an idle factor, so that its u is 0
     inv_r.fill(0.0)
     np.divide(1.0, r, out=inv_r, where=r > 0.0)
-    np.multiply(wf, inv_r[:, None], out=cu)
+    np.multiply(w, inv_r[:, None], out=cu)
     np.conjugate(cu, out=u)
     np.multiply(r, h, out=r)
     np.cos(r, out=cos)
@@ -341,6 +339,7 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     np.multiply(cub, ua, out=tmp)
     np.add(tmp[0], tmp[1], out=g)
     # (K, column e's, row e's, corner's) coefficient = g p + q, with real p and q
+    p, q = pq.view(float).reshape(2, 4, m)
     np.multiply(reals[0::2, 0], bm1, out=p[:2])  # (c_a - 1)(c_b - 1), s_a (c_b - 1)
     np.multiply(reals[0::2, 0], sb, out=p[2:])  # (c_a - 1) s_b, s_a s_b
     np.negative(p[3], out=p[3])
@@ -351,29 +350,20 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     np.multiply(g, p, out=coef)
     coef.real += q
     k, col_coef, row_coef, corner = coef
-    # the {0, 1} block: u_b v^T, with v held in row e until row e is formed ...
+    # the {0, 1} block I + (c_a - 1) u_a u_a^dagger + u_b v^T, with v held in row e until
+    # row e is formed and (c_a - 1) u_a u_a^dagger in the p, q scratch, free by now
     v = s[2, :2]
     np.multiply(cua, k, out=v)
     np.multiply(cub, bm1, out=tmp)
     v += tmp
-    np.multiply(ub[:, None], v[None], out=s[:2, :2])
-    # ... plus I + (c_a - 1) u_a u_a^dagger in _rotation's operation order, so that a step
-    # whose F2 is idle is F1 to the bit
-    d, e = p[:2], q[:2]
-    np.square(ua.real, out=d)
-    np.square(ua.imag, out=e)
-    np.add(d, e, out=d)
-    np.multiply(d, am1, out=d)
-    np.add(d, 1.0, out=d)
+    block = s[:2, :2]
+    uu = pq.reshape(2, 2, m)
+    np.multiply(ua, am1, out=tmp)
+    np.multiply(tmp[:, None], cua[None], out=uu)
+    np.multiply(ub[:, None], v[None], out=block)
+    block += uu
     for j in range(2):
-        s[j, j].real += d[j]
-    t = tmp[0]
-    np.conjugate(ua[1], out=t)
-    np.multiply(t, ua[0], out=t)
-    np.multiply(t, am1, out=t)
-    s[0, 1] += t
-    np.conjugate(t, out=t)
-    s[1, 0] += t
+        block[j, j].real += 1.0
     # the couplings to |e>
     col = s[:2, 2]
     np.multiply(ub, col_coef, out=col)
@@ -396,7 +386,7 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     pairs with a 3x3 product unrolled over the inner index, on (3, 3, m)
     component arrays in this thread's workspace scratch, so every operation is
     a long vectorized loop; a stack from _step_unitaries is already laid out
-    that way. A stack of more than CHUNK_STEPS / 2 matrices gets level buffers
+    that way. A stack of more than CHUNK_STEPS matrices gets level buffers
     that are not kept. The shorter levels go to np.matmul. An odd last
     matrix carries to the next level.
     """
@@ -431,24 +421,21 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
 def _rotation(w0: complex, w1: complex, h: float) -> np.ndarray:
     """exp(-i H h) for one coupling-only H with weights w0 and w1 (not both 0), in scalars.
 
-    The closed form of one factor of _step_unitaries, in its operation order,
-    as one contiguous 3x3, so that it equals the step whose first factor has
-    these weights and whose second is idle: the RWA propagator, without the
-    cost of numpy calls on one-element arrays.
+    One factor of _step_unitaries, u = conj(w) / r with r = |w| and
+    c, s = cos, sin(r h), as one contiguous 3x3: the RWA propagator, without
+    the cost of numpy calls on one-element arrays.
     """
-    r0, r1 = np.abs([w0, w1]).tolist()  # numpy's complex modulus, which math.hypot need not match
-    r = math.sqrt(r0 * r0 + r1 * r1)
-    inv_r = 1.0 / r
-    u = [complex(w.real * inv_r, -w.imag * inv_r) for w in (w0, w1)]
-    cos, sin = math.cos(r * h), math.sin(r * h)
-    cm1 = cos - 1.0
-    u01 = u[1].conjugate() * u[0]
-    u01 = complex(u01.real * cm1, u01.imag * cm1)
-    d0, d1 = ((v.real * v.real + v.imag * v.imag) * cm1 + 1.0 for v in u)
-    col = [complex(v.imag * sin, -v.real * sin) for v in u]
-    row = [complex(-v.imag * sin, -v.real * sin) for v in u]
+    r = math.hypot(abs(w0), abs(w1))
+    u0, u1 = w0.conjugate() / r, w1.conjugate() / r
+    c, s = math.cos(r * h), math.sin(r * h)
+    u01 = (c - 1.0) * u0 * u1.conjugate()
     return np.array(
-        [[d0, u01, col[0]], [u01.conjugate(), d1, col[1]], [row[0], row[1], cos]], dtype=complex
+        [
+            [1.0 + (c - 1.0) * abs(u0) ** 2, u01, -1j * s * u0],
+            [u01.conjugate(), 1.0 + (c - 1.0) * abs(u1) ** 2, -1j * s * u1],
+            [-1j * s * u0.conjugate(), -1j * s * u1.conjugate(), c],
+        ],
+        dtype=complex,
     )
 
 
@@ -468,7 +455,7 @@ def propagator(
 
     In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
     In 'full' mode it is the product of the CF4 steps, built in chunks of at
-    most CHUNK_STEPS / 2 steps, each stacked and multiplied in this thread's
+    most CHUNK_STEPS steps, each stacked and multiplied in this thread's
     workspace, and it is refused unless the steps resolve the envelope: its
     two-node Gauss-Legendre area (h/2) sum(a- + a+) must match the exact area
     to PULSE_AREA_TOL (relative). A non-finite pulse_start raises ValueError.
@@ -482,9 +469,8 @@ def propagator(
         tau = drive.envelope.tau
         n = num_steps(sys, tau, cfg, drive.envelope.time_scale)
         h = tau / n
-        size = CHUNK_STEPS // 2
-        ws = _workspace(min(n, size))
-        chunks = [(first, min(size, n - first)) for first in range(0, n, size)]
+        ws = _workspace(min(n, CHUNK_STEPS))
+        chunks = [(first, min(CHUNK_STEPS, n - first)) for first in range(0, n, CHUNK_STEPS)]
         # the area check comes before any step is built; a one-chunk pulse keeps its samples
         sampled = 0.0
         for chunk in chunks:

@@ -251,8 +251,8 @@ def test_phase_table_matches_per_step_phases(n, t0):
     starts = t0 + np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6]) * h
     a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, (2, n))
     out = _coupling_weights(TRANSMON, drive, starts, h, a)
-    assert out.shape == (2, 2 * n)
-    for wj, f, c in zip(out, (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
+    assert out.shape == (2, 2, n)
+    for j, f, c in zip(range(2), (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
         w_minus, w_plus = (
             np.array([c * ak[k] * (1.0 + np.exp(-2j * f * (tk + k * h))) for k in range(n)])
             for ak, tk in zip(a, starts)
@@ -262,13 +262,13 @@ def test_phase_table_matches_per_step_phases(n, t0):
         # few eps; 4 ulp of max(|2 f t|, 4) covers both, as ulp(4) = 4 eps
         phase_max = 2.0 * f * (t0 + n * h)
         tol = 4 * np.spacing(max(phase_max, 4.0)) * abs(c) * a.max()
-        assert np.abs(wj[0::2] - (a1 * w_minus + a2 * w_plus)).max() <= tol
-        assert np.abs(wj[1::2] - (a2 * w_minus + a1 * w_plus)).max() <= tol
-    # at f = 0 the factor is exactly 1 + 1; with no envelope at t+, factor 2k is A1 w-
+        assert np.abs(out[0, j] - (a1 * w_minus + a2 * w_plus)).max() <= tol
+        assert np.abs(out[1, j] - (a2 * w_minus + a1 * w_plus)).max() <= tol
+    # at f = 0 the factor is exactly 1 + 1; with no envelope at t+, a step's F1 weighs A1 w-
     a[1] = 0.0
     out = _coupling_weights(LambdaSystem(0.0, 0.0), drive, starts, h, a)
-    for wj, c in zip(out, (drive.c0, drive.c1)):
-        assert np.array_equal(wj[0::2], 2 * c * (a1 * a[0]))
+    for j, c in enumerate((drive.c0, drive.c1)):
+        assert np.array_equal(out[0, j], 2 * c * (a1 * a[0]))
 
 
 def coupling(w0, w1):
@@ -280,9 +280,10 @@ def coupling(w0, w1):
 
 
 def random_weights(n, rng=RNG):
-    """(2, 2n) interleaved factor weights with rotation angles r h up to 4 pi at h = 1."""
-    w = rng.normal(size=(2, 2 * n)) + 1j * rng.normal(size=(2, 2 * n))
-    return w * (rng.uniform(0.0, 4 * math.pi, 2 * n) / np.sqrt((np.abs(w) ** 2).sum(axis=0)))
+    """(factor, tone, step) weights of n steps with rotation angles r h up to 4 pi at h = 1."""
+    w = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
+    angles = rng.uniform(0.0, 4 * math.pi, (2, 1, n))
+    return w * (angles / np.linalg.norm(w, axis=1, keepdims=True))
 
 
 def test_step_unitaries_match_eigendecomposition_route():
@@ -293,12 +294,12 @@ def test_step_unitaries_match_eigendecomposition_route():
     n = 64
     h = 1.0
     w = random_weights(n)
-    w[:, 0] = w[:, 3] = w[:, 4] = w[:, 5] = 0.0
-    w[0, 6] = w[1, 9] = 0.0
+    w[0, :, 0] = w[1, :, 1] = w[:, :, 2] = 0.0
+    w[0, 0, 3] = w[1, 1, 4] = 0.0
     batch = _step_unitaries(w, h)
     assert batch.shape == (n, 3, 3)
     for k in range(n):
-        f1, f2 = (expm_unitary(coupling(*w[:, j]), h) for j in (2 * k, 2 * k + 1))
+        f1, f2 = (expm_unitary(coupling(*w[j, :, k]), h) for j in (0, 1))
         # bound fixed beforehand: a few ulp per entry of each factor, with angles up to 4 pi
         assert np.abs(batch[k] - f2 @ f1).max() < 1e-13, k
     assert np.array_equal(batch[2], np.eye(3))
@@ -312,10 +313,11 @@ def test_step_unitaries_match_eigendecomposition_route():
         assert np.abs(u - expm_unitary(coupling(c0, c1), area)).max() < 1e-12
 
 
-def test_rotation_is_the_batch_closed_form_bit_for_bit():
-    # _rotation restates one factor of _step_unitaries in scalars, so a step whose F1 has
-    # the weight pair and whose F2 is idle gives the same bits; theta = 0 and pi are the
-    # drives with one weight exactly 0
+def test_rotation_matches_a_step_whose_second_factor_is_idle():
+    # _rotation is one factor of _step_unitaries in scalars, so it agrees with a step whose
+    # F1 has the weight pair and whose F2 is idle; theta = 0 and pi are the drives with one
+    # weight exactly 0. Bound fixed beforehand: the two sides round r and r h independently,
+    # and an angle up to 4 pi carries a few ulp of 4 pi (1.8e-15 each) into c and s
     rng = np.random.default_rng(5023)
     cases = []
     for _ in range(200):
@@ -326,21 +328,23 @@ def test_rotation_is_the_batch_closed_form_bit_for_bit():
     limits = [DriveSpec.for_angles(theta, 0.7, env) for theta in (0.0, math.pi)]
     cases += [(drive.c0, drive.c1, math.pi) for drive in limits]
     for c0, c1, area in cases:
-        batch = _step_unitaries(np.array([[c0, 0.0], [c1, 0.0]]), area)
-        assert np.array_equal(_rotation(c0, c1, area), batch[0]), (c0, c1, area)
+        batch = _step_unitaries(np.array([[[c0], [c1]], [[0.0], [0.0]]]), area)
+        assert np.abs(_rotation(c0, c1, area) - batch[0]).max() <= 1e-14, (c0, c1, area)
 
 
 def test_idle_step_reads_no_stale_scratch():
     # a step of two idle factors (w = 0) is the identity, and neither the steps nor their
     # product depend on what this thread's reused scratch held before
-    w = np.array([[0.0, 0.0, 1.0 + 2.0j, 0.0, 0.0, 0.0], [0.0, 0.0, -0.5j, 3.0, 0.0, 0.0]])
+    w = np.zeros((2, 2, 3), dtype=complex)
+    w[0, :, 1] = 1.0 + 2.0j, -0.5j
+    w[1, 1, 1] = 3.0
     dynamics._workspace(3).scratch.fill(np.nan)
     batch = _step_unitaries(w, 0.3)
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
     for n in (_MATMUL_BELOW + 1, 1001):
-        w = RNG.normal(size=(2, 2 * n)) + 1j * RNG.normal(size=(2, 2 * n))
+        w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
         dynamics._workspace(n).scratch.fill(np.nan)
         us = _step_unitaries(w, 0.7)
         dynamics._workspace(n).scratch.fill(np.nan)
@@ -356,7 +360,7 @@ def test_idle_step_reads_no_stale_scratch():
 def test_time_ordered_product_matches_sequential_loop(n):
     # odd counts leave a carried step at one or more levels of the reduction;
     # levels below _MATMUL_BELOW steps go to np.matmul
-    us = _step_unitaries(RNG.normal(size=(2, 2 * n)) + 1j * RNG.normal(size=(2, 2 * n)), 0.7)
+    us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n)), 0.7)
     sequential = np.eye(3, dtype=complex)
     for u in us:
         sequential = u @ sequential
@@ -388,18 +392,18 @@ def cf4_stack(sys, drive, n, start):
     "n",
     [
         MIN_STEPS,
-        CHUNK_STEPS // 2 - 1,
-        CHUNK_STEPS // 2,
-        CHUNK_STEPS // 2 + 1,
         CHUNK_STEPS - 1,
         CHUNK_STEPS,
         CHUNK_STEPS + 1,
+        2 * CHUNK_STEPS - 1,
+        2 * CHUNK_STEPS,
         2 * CHUNK_STEPS + 1,
+        4 * CHUNK_STEPS + 1,
     ],
 )
 def test_chunked_propagator_matches_whole_stack(n):
-    # the chunk loop (CHUNK_STEPS factors, CHUNK_STEPS // 2 steps per chunk) against one
-    # product over the whole stack of n steps at once
+    # the chunk loop (CHUNK_STEPS steps per chunk) against one product over the whole
+    # stack of n steps at once
     tau = 40 * NS
     sys = system_for_steps(n, tau)
     cfg = PropagationConfig()
@@ -418,9 +422,9 @@ def test_concurrent_builds_match_sequential_builds():
         (system_for_steps(n, tau), drive_for_gate(gate, envelope(kind, tau)), start)
         for n, gate, kind, start in (
             (MIN_STEPS, NOT_GATE, "gaussian", 0.0),
-            (CHUNK_STEPS // 2 + 1, HADAMARD_GATE, "sin2", 40 * NS),
-            (2 * CHUNK_STEPS + 1, NOT_GATE, "sech", 0.0),
-            (CHUNK_STEPS // 2 - 1, HADAMARD_GATE, "square", 13 * NS),
+            (CHUNK_STEPS + 1, HADAMARD_GATE, "sin2", 40 * NS),
+            (4 * CHUNK_STEPS + 1, NOT_GATE, "sech", 0.0),
+            (CHUNK_STEPS - 1, HADAMARD_GATE, "square", 13 * NS),
         )
     ]
     expected = [propagator(sys, drive, cfg, pulse_start=start) for sys, drive, start in jobs]
@@ -450,15 +454,15 @@ def test_concurrent_builds_match_sequential_builds():
 def test_kept_workspace_is_bounded():
     # a stack longer than a chunk is built and multiplied in a workspace the thread does
     # not keep; the kept one holds a chunk's steps and their scratch, 480 B per step
-    n = CHUNK_STEPS + 1
-    us = _step_unitaries(RNG.normal(size=(2, 2 * n)) + 0j, 0.7)
+    n = 2 * CHUNK_STEPS + 1
+    us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7)
     time_ordered_product(us)
     drive = drive_for_gate(NOT_GATE, envelope("gaussian", 100 * NS))
     propagator(TRANSMON, drive, PropagationConfig())  # 12,938 steps in 2 chunks
     kept = dynamics._workspace(1)
-    assert kept.size <= CHUNK_STEPS // 2
+    assert kept.size <= CHUNK_STEPS
     arrays = [a for a in vars(kept).values() if isinstance(a, np.ndarray) and a.base is None]
-    assert sum(a.nbytes for a in arrays) == CHUNK_STEPS // 2 * 480
+    assert sum(a.nbytes for a in arrays) == CHUNK_STEPS * 480
 
 
 def test_unitarity_defect_of_long_transmon_pulses():
@@ -547,7 +551,7 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
     monkeypatch.setattr(dynamics, "_step_unitaries", traced_steps)
     drive = gaussian_drive(tau_ns)
     n = num_steps(TRANSMON, drive.envelope.tau, PropagationConfig())
-    assert -(-2 * n // CHUNK_STEPS) == chunks
+    assert -(-n // CHUNK_STEPS) == chunks
     propagator(TRANSMON, drive, PropagationConfig())
     assert len(weights) == len(rows) == chunks
     for w, row in zip(weights, rows):
@@ -558,10 +562,10 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
     "n,sampled",
     [
         (MIN_STEPS, [2 * MIN_STEPS]),
-        (CHUNK_STEPS, [CHUNK_STEPS] * 4),
-        (CHUNK_STEPS + 1, [CHUNK_STEPS, CHUNK_STEPS, 2] * 2),
-        (CHUNK_STEPS // 2, [CHUNK_STEPS]),
-        (CHUNK_STEPS // 2 + 1, [CHUNK_STEPS, 2, CHUNK_STEPS, 2]),
+        (2 * CHUNK_STEPS, [2 * CHUNK_STEPS] * 4),
+        (2 * CHUNK_STEPS + 1, [2 * CHUNK_STEPS, 2 * CHUNK_STEPS, 2] * 2),
+        (CHUNK_STEPS, [2 * CHUNK_STEPS]),
+        (CHUNK_STEPS + 1, [2 * CHUNK_STEPS, 2, 2 * CHUNK_STEPS, 2]),
     ],
 )
 def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
@@ -608,7 +612,8 @@ def _midpoint_rwa_product(drive, n, pulse_start):
     h = drive.envelope.tau / n
     t_mid = pulse_start + (np.arange(n) + 0.5) * h
     a = drive.envelope.evaluate(t_mid - pulse_start)
-    steps = _step_unitaries(np.array([drive.c0 * a, drive.c1 * a]), h)
+    factors = a.reshape(-1, 2).T[:, None]  # (factor, 1, step)
+    steps = _step_unitaries(factors * np.array([[drive.c0], [drive.c1]]), h)
     return time_ordered_product(steps), h * a.sum()
 
 

@@ -97,13 +97,13 @@ def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, t
 
 SEAM_STEPS = [
     MIN_STEPS,
-    CHUNK_STEPS // 2 - 1,
-    CHUNK_STEPS // 2,
-    CHUNK_STEPS // 2 + 1,
     CHUNK_STEPS - 1,
     CHUNK_STEPS,
     CHUNK_STEPS + 1,
+    2 * CHUNK_STEPS - 1,
+    2 * CHUNK_STEPS,
     2 * CHUNK_STEPS + 1,
+    4 * CHUNK_STEPS + 1,
 ]
 TAU = 40e-9
 
@@ -112,7 +112,7 @@ TAU = 40e-9
 @given(
     builds=st.lists(
         st.tuples(
-            st.sampled_from(SEAM_STEPS) | st.integers(MIN_STEPS, 2 * CHUNK_STEPS + 1),
+            st.sampled_from(SEAM_STEPS) | st.integers(MIN_STEPS, 4 * CHUNK_STEPS + 1),
             st.sampled_from(ENVELOPE_KINDS),
             st.floats(min_value=0.0, max_value=math.pi),
             st.floats(min_value=0.0, max_value=TAU),
