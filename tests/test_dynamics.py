@@ -252,7 +252,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
     a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, (2, n))
     out = _coupling_weights(TRANSMON, drive, starts, h, a)
     assert out.shape == (2, 2, n)
-    for j, f, c in zip(range(2), (TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1)):
+    for j, (f, c) in enumerate(zip((TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1))):
         w_minus, w_plus = (
             np.array([c * ak[k] * (1.0 + np.exp(-2j * f * (tk + k * h))) for k in range(n)])
             for ak, tk in zip(a, starts)
