@@ -26,8 +26,9 @@ Gauss-Legendre area misses the exact one, before any step is built. Then one
 weights stage, _coupling_weights, turns each chunk's node samples into its
 factor weights, as (factor, tone, step), _step_unitaries writes the chunk's
 step unitaries into one workspace per thread, time_ordered_product multiplies
-them there, and the chunk's product is folded into the 3x3 result. The
-workspace holds the step stack and one scratch area that the step kernel's
+them there in pairwise levels (an unrolled 3x3 product on long levels, one
+np.einsum call on shorter ones, np.matmul on the last few), and each later
+chunk's product multiplies the result so far. The workspace holds the step stack and one scratch area that the step kernel's
 temporaries and the product's levels share (480 B per step), and is kept
 across chunks and calls. Memory is therefore bounded by the chunk, not by the
 step count; MAX_STEPS bounds the time. Each node lies on a uniform grid
@@ -59,7 +60,7 @@ class LambdaSystem:
 
     def __post_init__(self):
         for name, f in (("fe0", self.fe0), ("fe1", self.fe1)):
-            if not (np.isfinite(f) and f >= 0.0):
+            if not (math.isfinite(f) and f >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {f!r}")
 
 
@@ -88,24 +89,28 @@ MAX_STEPS = 5_000_000
 CHUNK_STEPS = 8192
 
 # Complex numbers of workspace scratch per step. The step kernel's temporaries take 21: u
-# and conj(u) of both factors 8, their c - 1, c and s 3, the coefficients' real parts 4
-# (then (c_a - 1) u_a u_a^dagger), the coefficients 4 and a two-row buffer 2. The
-# product's two level buffers and its row buffer take 9 + 1.5, for half as many products.
+# and conj(u) of both factors 8, their c - 1, s and c 3, the coefficients 4 (then
+# (c_a - 1) u_a u_a^dagger) and 6 for |w|^2, the outer product of the (c - 1, s, c) and the
+# stacked e column and row. The product's two level buffers and its row buffer take 9 + 1.5.
 _SCRATCH_PER_STEP = 21
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
 # outer[q] * inner[r], with outer[q] = exp(-2i f (t0 + q B h)) and inner[r] = exp(-2i f r h).
 _PHASE_BLOCK = 128
+_BLOCK_RANGE = np.arange(_PHASE_BLOCK)
 
-# A pairwise-product level with fewer matrices than this is multiplied with
-# np.matmul, where the unrolled kernel's fixed per-level cost dominates.
-_MATMUL_BELOW = 128
+# Pairwise-product levels of fewer matrices than _EINSUM_BELOW are one np.einsum call, where
+# the unrolled kernel's fixed cost dominates, and below _MATMUL_BELOW np.matmul is faster.
+_EINSUM_BELOW = 512
+_MATMUL_BELOW = 32
 
 # CF4: the nodes of step k sit at (k + _CF4_NODES) h, and its factors weigh the node
 # Hamiltonians (H-, H+) by (A1, A2), then by (A2, A1).
 _CF4_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+# (factor, node): the factors' weights of the node Hamiltonians (H-, H+)
+_CF4_WEIGHTS = np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])
 
 
 @dataclass(frozen=True)
@@ -238,12 +243,6 @@ def _workspace(size: int) -> _Workspace:
     return ws
 
 
-def _scale(z: np.ndarray, x: np.ndarray) -> None:
-    """z *= x in place, for complex z and real x that broadcasts to the shape of z."""
-    np.multiply(z.real, x, out=z.real)
-    np.multiply(z.imag, x, out=z.imag)
-
-
 def _coupling_weights(
     sys: LambdaSystem, drive: DriveSpec, t0: np.ndarray, h: float, a: np.ndarray
 ) -> np.ndarray:
@@ -251,31 +250,27 @@ def _coupling_weights(
 
     a is (2, m), the envelope on the pulse's own clock at the nodes
     t- = t0[0] + k h and t+ = t0[1] + k h; the carrier phases run on the
-    absolute clock of t0. With x = A1 w- and y = A2 w+, the node weights
-    w_j = c_j a (1 + exp(-2i f_j t)) of the samples scaled by A1 and A2,
-    the first factor of step k weighs x + y = A1 w- + A2 w+ and the second
-    (A2 / A1) x + (A1 / A2) y = A2 w- + A1 w+. The phases come from the
-    _PHASE_BLOCK table, to within a few ulp of the largest |2 f t|.
+    absolute clock of t0. The node weights w_j = c_j a (1 + exp(-2i f_j t))
+    of both tones are formed as (node, tone, step), and one real 2x2 product
+    over the node axis gives the first factor A1 w- + A2 w+ and the second
+    A2 w- + A1 w+ of every step. The phases come from the _PHASE_BLOCK
+    table, to within a few ulp of the largest |2 f t|. The result is a
+    (factor, tone, step) view of a (tone, factor, step) array.
     """
     m = a.shape[1]
-    c = np.array([drive.c0, drive.c1]).reshape(2, 1, 1)
-    # c exp(-2i f t) = (c outer[q]) * inner[r] for t = t0 + (q B + r) h, both tones and nodes
+    # the tone constants -2i f and c, each as a (tone, 1) column
+    k, c = np.array([[-2j * sys.fe0, -2j * sys.fe1], [drive.c0, drive.c1]])[:, :, None]
+    # c exp(-2i f t) = (c outer[q]) * inner[r] for t = t0 + (q B + r) h, both nodes and tones
     # at once; the last block is cut to m
-    f = np.array([sys.fe0, sys.fe1]).reshape(2, 1, 1)
-    inner = np.exp(-2j * f[:, 0] * (h * np.arange(min(m, _PHASE_BLOCK))))
+    inner = np.exp(k * (h * _BLOCK_RANGE[: min(m, _PHASE_BLOCK)]))
     starts = t0[:, None] + _PHASE_BLOCK * h * np.arange(-(-m // _PHASE_BLOCK))
-    outer = np.exp(-2j * f * starts)
+    outer = np.exp(k * starts[:, None])
     outer *= c
-    w = (outer[..., None] * inner[:, None, None, :]).reshape(2, 2, -1)[:, :, :m]
+    w = (outer[..., None] * inner[:, None, :]).reshape(2, 2, -1)[:, :, :m]
     w += c
-    _scale(w, a * [[_CF4_A1], [_CF4_A2]])
-    x, y = w[:, 0], w[:, 1]
-    out = np.empty((2, 2, m), dtype=complex)
-    np.add(x, y, out=out[0])
-    x *= _CF4_A2 / _CF4_A1
-    y *= _CF4_A1 / _CF4_A2
-    np.add(x, y, out=out[1])
-    return out
+    w *= a[:, None]
+    out = np.matmul(_CF4_WEIGHTS, w.view(float).transpose(1, 0, 2))
+    return out.view(complex).transpose(1, 0, 2)
 
 
 def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -307,88 +302,78 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     m = w.shape[2]
     s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
     buf = _workspace(m).scratch
-    # _SCRATCH_PER_STEP m complex numbers; per factor, as (factor a or b, tone, step): u and
-    # conj(u), then c - 1, c and s
-    u, cu = buf[: 8 * m].reshape(2, 2, 2, m)
+    # _SCRATCH_PER_STEP m complex numbers: u_a, u_b, conj(u_a), conj(u_b) as (tone, step),
+    # then c - 1, s and c of both factors, the coefficients, and 6 m for the temporaries
+    uc = buf[: 8 * m].reshape(4, 2, m)
     reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
-    pq = buf[11 * m : 15 * m]
-    coef = buf[15 * m : 19 * m].reshape(4, m)
-    tmp = buf[19 * m : 21 * m].reshape(2, m)
-    cm1, cos, sin = reals
+    coef = buf[11 * m : 15 * m].reshape(2, 2, m)
+    work = buf[15 * m : 21 * m]
+    ua, ub, cua, cub = uc
+    cm1, sin, cos = reals
     r = cm1  # r, then the angle r h, until c - 1 is formed
-    np.abs(w[:, 0], out=r)
-    np.square(r, out=r)
-    np.abs(w[:, 1], out=cos)
-    np.square(cos, out=cos)
-    np.add(r, cos, out=r)
+    r2 = work[: 2 * m].view(float).reshape(2, 2, m)  # |w|^2 as (tone, factor, step)
+    np.abs(w.transpose(1, 0, 2), out=r2)
+    np.square(r2, out=r2)
+    np.add(r2[0], r2[1], out=r)
     np.sqrt(r, out=r)
     inv_r = sin  # until s is formed; 0 for an idle factor, so that its u is 0
     inv_r.fill(0.0)
     np.divide(1.0, r, out=inv_r, where=r > 0.0)
-    np.multiply(w, inv_r[:, None], out=cu)
-    np.conjugate(cu, out=u)
+    np.multiply(w, inv_r[:, None], out=uc[2:])
+    np.conjugate(uc[2:], out=uc[:2])
     np.multiply(r, h, out=r)
     np.cos(r, out=cos)
     np.sin(r, out=sin)
     np.subtract(cos, 1.0, out=cm1)
-    ua, ub = u
-    cua, cub = cu
-    (am1, bm1), (ca, cb), (sa, sb) = cm1, cos, sin
     # g, held in the corner until the corner is formed
     g = s[2, 2]
+    tmp = work[: 2 * m].reshape(2, m)
     np.multiply(cub, ua, out=tmp)
     np.add(tmp[0], tmp[1], out=g)
-    # (K, column e's, row e's, corner's) coefficient = g p + q, with real p and q
-    p, q = pq.view(float).reshape(2, 4, m)
-    np.multiply(reals[0::2, 0], bm1, out=p[:2])  # (c_a - 1)(c_b - 1), s_a (c_b - 1)
-    np.multiply(reals[0::2, 0], sb, out=p[2:])  # (c_a - 1) s_b, s_a s_b
-    np.negative(p[3], out=p[3])
-    q[0] = p[3]
-    np.multiply(sb, ca, out=q[1])
-    np.multiply(cb, sa, out=q[2])
-    np.multiply(ca, cb, out=q[3])
-    np.multiply(g, p, out=coef)
-    coef.real += q
-    k, col_coef, row_coef, corner = coef
-    # the {0, 1} block I + (c_a - 1) u_a u_a^dagger + u_b v^T, with v held in row e until
-    # row e is formed and (c_a - 1) u_a u_a^dagger in the p, q scratch, free by now
-    v = s[2, :2]
-    np.multiply(cua, k, out=v)
-    np.multiply(cub, bm1, out=tmp)
-    v += tmp
+    # the coefficients (K, row e's; column e's, corner) = g p + q, with p and q the
+    # (c - 1, s) x (c - 1, s) and (s, c) x (s, c) corners of the outer product of (c - 1, s, c)
+    # of a with that of b; they share s_a s_b, negated for K and the corner
+    pq = work.view(float)[: 9 * m].reshape(3, 3, m)
+    np.multiply(reals[:, None, 0], reals[None, :, 1], out=pq)
+    np.negative(pq[1, 1], out=pq[1, 1])
+    np.multiply(g, pq[:2, :2], out=coef)
+    coef.real += pq[1:, 1:]
+    s[2, 2] = coef[1, 1]
+    # column e and row e together: -i (s_a u_a + col_coef u_b) and
+    # -i (s_b conj(u_b) + row_coef conj(u_a)), the second terms in the {0, 1} block, free by now
+    both = work[: 4 * m].reshape(2, 2, m)
     block = s[:2, :2]
-    uu = pq.reshape(2, 2, m)
-    np.multiply(ua, am1, out=tmp)
-    np.multiply(tmp[:, None], cua[None], out=uu)
+    np.multiply(sin[:, None], uc[0::3], out=both)
+    np.multiply(coef.reshape(4, m)[2:0:-1, None], uc[1:3], out=block)
+    both += block
+    np.multiply(both[0], -1j, out=s[:2, 2])
+    np.multiply(both[1], -1j, out=s[2, :2])
+    # the {0, 1} block I + (c_a - 1) u_a u_a^dagger + u_b v^T, with (c_a - 1) u_a u_a^dagger
+    # in the coefficients' scratch, free by now
+    v, tmp = work[: 4 * m].reshape(2, 2, m)
+    np.multiply(cua, coef[0, 0], out=v)
+    np.multiply(cub, cm1[1], out=tmp)
+    v += tmp
     np.multiply(ub[:, None], v[None], out=block)
-    block += uu
+    np.multiply(ua, cm1[0], out=tmp)
+    np.multiply(tmp[:, None], cua[None], out=coef)
+    block += coef
     for j in range(2):
         block[j, j].real += 1.0
-    # the couplings to |e>
-    col = s[:2, 2]
-    np.multiply(ub, col_coef, out=col)
-    np.multiply(ua, sa, out=tmp)
-    col += tmp
-    col *= -1j
-    row = s[2, :2]
-    np.multiply(cua, row_coef, out=row)
-    np.multiply(cub, sb, out=tmp)
-    row += tmp
-    row *= -1j
-    s[2, 2] = corner
     return s.transpose(2, 0, 1)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    While a level has at least _MATMUL_BELOW matrices, it multiplies adjacent
-    pairs with a 3x3 product unrolled over the inner index, on (3, 3, m)
-    component arrays in this thread's workspace scratch, so every operation is
-    a long vectorized loop; a stack from _step_unitaries is already laid out
-    that way. A stack of more than CHUNK_STEPS matrices gets level buffers
-    that are not kept. The shorter levels go to np.matmul. An odd last
-    matrix carries to the next level.
+    Each level multiplies adjacent pairs on (3, 3, m) component arrays in
+    this thread's workspace scratch; a stack from _step_unitaries is already
+    laid out that way. A level of at least _EINSUM_BELOW matrices uses a 3x3
+    product unrolled over the inner index, so every operation is a long
+    vectorized loop; a shorter one down to _MATMUL_BELOW matrices is one
+    np.einsum call, and the last few levels go to np.matmul. A stack of more
+    than CHUNK_STEPS matrices gets level buffers that are not kept. An odd
+    last matrix carries to the next level.
     """
     p = unitaries.transpose(1, 2, 0)
     ws = _workspace(p.shape[2])
@@ -398,14 +383,17 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
         k = m // 2
         later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
         q = ws.levels[level % 2, :, :, : k + m % 2]
-        tmp = ws.row[:, :k]
-        for i in range(DIM):
-            row = q[i, :, :k]  # row i of every pair product, all columns at once
-            np.multiply(later[i, 0], earlier[0], out=row)
-            np.multiply(later[i, 1], earlier[1], out=tmp)
-            row += tmp
-            np.multiply(later[i, 2], earlier[2], out=tmp)
-            row += tmp
+        if m < _EINSUM_BELOW:
+            np.einsum("ijk,jlk->ilk", later, earlier, out=q[:, :, :k])
+        else:
+            tmp = ws.row[:, :k]
+            for i in range(DIM):
+                row = q[i, :, :k]  # row i of every pair product, all columns at once
+                np.multiply(later[i, 0], earlier[0], out=row)
+                np.multiply(later[i, 1], earlier[1], out=tmp)
+                row += tmp
+                np.multiply(later[i, 2], earlier[2], out=tmp)
+                row += tmp
         if m % 2:
             q[:, :, k] = p[:, :, m - 1]
         p = q
@@ -482,14 +470,14 @@ def propagator(
                 f"{n} steps of {h:.3e} s sample a pulse area of {sampled:.6g}, not {area:.6g}: "
                 "the envelope is not resolved"
             )
-        u = np.eye(DIM, dtype=complex)
         for first, m in chunks:
             if len(chunks) > 1:
                 a = _node_envelope(drive, first, m, h)
             t0 = pulse_start + (first + _CF4_NODES) * h
             w = _coupling_weights(sys, drive, t0, h, a)
             steps = _step_unitaries(w, h, out=ws.unitaries[:, :, :m])
-            u = time_ordered_product(steps) @ u
+            product = time_ordered_product(steps)
+            u = product if first == 0 else product @ u
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise NumericalContractError(

@@ -17,6 +17,7 @@ from lambda_holo.dynamics import (
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
+    _EINSUM_BELOW,
     _MATMUL_BELOW,
     _PHASE_BLOCK,
     _coupling_weights,
@@ -268,7 +269,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
     a[1] = 0.0
     out = _coupling_weights(LambdaSystem(0.0, 0.0), drive, starts, h, a)
     for j, c in enumerate((drive.c0, drive.c1)):
-        assert np.array_equal(out[0, j], 2 * c * (a1 * a[0]))
+        assert np.array_equal(out[0, j], a1 * (2 * c * a[0]))
 
 
 def coupling(w0, w1):
@@ -355,11 +356,13 @@ def test_idle_step_reads_no_stale_scratch():
 
 
 @pytest.mark.parametrize(
-    "n", [1, 2, 3, 5, 7, 64, _MATMUL_BELOW - 1, _MATMUL_BELOW, _MATMUL_BELOW + 1, 1001]
+    "n",
+    [1, 2, 3, 5, 7, 64, 127, 128, 129, 1001]
+    + [threshold + d for threshold in (_MATMUL_BELOW, _EINSUM_BELOW) for d in (-1, 0, 1)],
 )
 def test_time_ordered_product_matches_sequential_loop(n):
-    # odd counts leave a carried step at one or more levels of the reduction;
-    # levels below _MATMUL_BELOW steps go to np.matmul
+    # odd counts leave a carried step at one or more levels of the reduction; levels
+    # below _EINSUM_BELOW matrices are one np.einsum call and below _MATMUL_BELOW np.matmul
     us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n)), 0.7)
     sequential = np.eye(3, dtype=complex)
     for u in us:
@@ -592,6 +595,19 @@ def test_rwa_pulse_realizes_ideal_gate():
     out = propagator(TRANSMON, drive, cfg) @ INPUT_STATES["0"]
     ideal = ideal_gate(NOT_GATE) @ INPUT_STATES["0"]
     assert abs(abs(np.vdot(ideal, out)) - 1.0) < 1e-6
+
+
+def test_theta_pi_rwa_propagator_is_pinned():
+    # the theta = pi limit pair's rotation, bit for bit as it was when its c0 was a numpy
+    # complex128; the small entries carry sin(pi) = 1.2e-16 times the coefficients
+    drive = DriveSpec.for_angles(math.pi, 0.7, envelope("gaussian", 40 * NS))
+    u = propagator(TRANSMON, drive, PropagationConfig(mode="rwa"))
+    expected = [
+        [-1.0, 0.0, 7.88939128629749e-17 + 9.366615365108093e-17j],
+        [0.0, 1.0, 0.0],
+        [-7.88939128629749e-17 + 9.366615365108093e-17j, 0.0, -1.0],
+    ]
+    assert np.array_equal(u, np.array(expected))
 
 
 def test_rwa_holds_for_all_envelope_kinds():
