@@ -14,6 +14,7 @@ import math
 import os
 import sys as _sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,7 +28,8 @@ FORMATS = ("csv", "json")
 
 _GHZ_TO_RAD_S = 2.0 * math.pi * 1e9
 
-# fig1 holds its rows in memory, about 2.6 KB each: the cap keeps that near 260 MB
+# fig1 holds its rows in memory, about 1.6 KB each and two per point: the cap keeps that
+# near 350 MB (peak RSS of `fig1 --mode rwa`: 36 MB at 2,000 points, 188 MB at 50,000)
 MAX_FIG1_POINTS = 100_000
 
 
@@ -58,22 +60,19 @@ class RunConfig:
     points: int = 100
 
 
+# CSV number formats by column; frequencies (*_rad_s) take .4e, other floats .6g
+_FORMATS = {"fidelity": ".6f", "excited_population": ".6e", "overlap_phase": ".6f"}
+
+
 def _format_value(key: str, value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if key == "fidelity":
-        return f"{value:.6f}"
-    if key.endswith("_rad_s"):
-        return f"{value:.4e}"
-    if key == "excited_population":
-        return f"{value:.6e}"
-    if key == "overlap_phase":
-        return f"{value:.6f}"
-    if isinstance(value, (int, np.integer)):
+    spec = _FORMATS.get(key, ".4e" if key.endswith("_rad_s") else None)
+    if spec is None and isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{value:.6g}"
+    return format(value, spec or ".6g")
 
 
 def render_csv(records: list[dict]) -> str:
@@ -84,8 +83,20 @@ def render_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_value(v) -> str:
+    """One scalar cell as json.dumps writes it."""
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    return encode_basestring_ascii(v) if type(v) is str else "null" if v is None else json.dumps(v)
+
+
 def render_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=2) + "\n"
+    """json.dumps(records, indent=2) and a newline, for a non-empty list of flat records."""
+    rows = (
+        ",\n".join(f"    {encode_basestring_ascii(k)}: {_json_value(v)}" for k, v in r.items())
+        for r in records
+    )
+    return "[\n  {\n" + "\n  },\n  {\n".join(rows) + "\n  }\n]\n"
 
 
 def _emit(records: list[dict], cfg: RunConfig) -> int:

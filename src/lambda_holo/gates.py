@@ -8,6 +8,7 @@ overlap between the ideal output and the exactly propagated output.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,13 +62,8 @@ def ideal_gate(gate: GateSpec) -> np.ndarray:
     """The target unitary: n.sigma on span{|0>,|1>}, identity on |e>."""
     st, ct = math.sin(gate.theta), math.cos(gate.theta)
     cp, sp = math.cos(gate.phi), math.sin(gate.phi)
-    u = np.zeros((DIM, DIM), dtype=complex)
-    u[0, 0] = ct
-    u[1, 1] = -ct
-    u[0, 1] = st * cp - 1j * st * sp
-    u[1, 0] = st * cp + 1j * st * sp
-    u[2, 2] = 1.0
-    return u
+    u01, u10 = st * cp - 1j * st * sp, st * cp + 1j * st * sp
+    return np.array([[ct, u01, 0.0], [u10, -ct, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 
 
 def drive_for_gate(gate: GateSpec, env: Envelope) -> DriveSpec:
@@ -96,15 +92,16 @@ def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi: np.ndarray) -
     """Apply an exact propagator to a validated state and compare with the ideal output.
 
     psi is trusted: an INPUT_STATES entry, or a state gate_outcome has validated.
-    The output norm is checked, not repaired.
+    The output norm is checked, not repaired. The overlap is taken on the
+    three components as Python complex numbers.
     """
     exact = u_exact @ psi
     check_norm(exact)
-    ov = complex(np.vdot(u_ideal @ psi, exact))
+    e0, e1, e2 = exact.tolist()
+    i0, i1, i2 = (u_ideal @ psi).tolist()
+    ov = i0.conjugate() * e0 + i1.conjugate() * e1 + i2.conjugate() * e2
     return GateOutcome(
-        fidelity=float(abs(ov)),
-        excited_population=float(np.abs(exact[2]) ** 2),
-        overlap_phase=float(np.angle(ov)),
+        fidelity=abs(ov), excited_population=abs(e2) ** 2, overlap_phase=cmath.phase(ov)
     )
 
 

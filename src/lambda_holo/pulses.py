@@ -10,6 +10,7 @@ c0/c1 = -tan(theta/2) * exp(i*phi) with |c0|^2 + |c1|^2 = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -119,14 +120,14 @@ def envelope(
     as a fraction of tau, for 'sech' the dimensionless steepness beta in
     sech(beta * (2t/tau - 1)); the remaining kinds span the full window.
     """
-    if not (np.isfinite(tau) and tau > 0.0):
+    if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
     if kind == "gaussian":
-        if not (np.isfinite(fwhm_fraction) and fwhm_fraction > 0.0):
+        if not (math.isfinite(fwhm_fraction) and fwhm_fraction > 0.0):
             raise ValueError(f"fwhm_fraction must be positive, got {fwhm_fraction!r}")
         width = fwhm_fraction
     elif kind == "sech":
-        if not (np.isfinite(sech_beta) and sech_beta > 0.0):
+        if not (math.isfinite(sech_beta) and sech_beta > 0.0):
             raise ValueError(f"sech_beta must be positive, got {sech_beta!r}")
         width = sech_beta
     else:
@@ -154,7 +155,7 @@ def envelope(
 
 def check_angles(theta: float, phi: float) -> None:
     """Raise ValueError unless theta lies in [0, pi] and phi in [-pi, pi]."""
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+    if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("theta and phi must be finite")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
@@ -180,10 +181,10 @@ class DriveSpec:
         """Drive with c0/c1 = -tan(theta/2) e^{i phi} and c1 real >= 0.
 
         theta = pi makes the ratio singular; there the limit pair (-e^{i phi}, 0)
-        is used explicitly.
+        is used explicitly. Both coefficients are Python complex numbers.
         """
         check_angles(theta, phi)
         if abs(theta - math.pi) < 1e-12:
-            return cls(envelope=env, c0=-np.exp(1j * phi), c1=0.0 + 0.0j)
-        c0 = -math.sin(theta / 2.0) * np.exp(1j * phi)
-        return cls(envelope=env, c0=complex(c0), c1=complex(math.cos(theta / 2.0)))
+            return cls(envelope=env, c0=-cmath.exp(1j * phi), c1=0.0 + 0.0j)
+        c0 = -math.sin(theta / 2.0) * cmath.exp(1j * phi)
+        return cls(envelope=env, c0=c0, c1=complex(math.cos(theta / 2.0)))

@@ -143,9 +143,10 @@ def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> lis
     def pulse_propagator(sys: LambdaSystem, gate: GateSpec, env: Envelope, start: float):
         drive = drive_for_gate(gate, env)
         key = (sys, drive, start, cfg)
-        if key not in built:
-            built[key] = propagator(sys, drive, cfg, pulse_start=start)
-        return built[key]
+        u = built.get(key)
+        if u is None:
+            u = built[key] = propagator(sys, drive, cfg, pulse_start=start)
+        return u
 
     points = []
     for row in rows:

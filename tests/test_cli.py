@@ -522,6 +522,7 @@ def sweep_records(draw):
 @settings(max_examples=100, deadline=None)
 @given(records=sweep_records())
 def test_render_round_trip(records):
+    assert render_json(records) == json.dumps(records, indent=2) + "\n"
     assert json.loads(render_json(records)) == records
     reader = csv.DictReader(io.StringIO(render_csv(records), newline=""))
     rows = list(reader)

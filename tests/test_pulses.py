@@ -167,6 +167,13 @@ def test_theta_pi_limit_pair():
     assert abs(c0 + np.exp(1j * phi)) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
+def test_coefficients_are_python_complex(theta):
+    # one type on every branch, the theta = pi limit pair included
+    drive = DriveSpec.for_angles(theta, 0.7, ENV)
+    assert type(drive.c0) is complex and type(drive.c1) is complex
+
+
 def test_coefficient_normalization_grid():
     for theta in np.linspace(0.0, math.pi, 9):
         for phi in np.linspace(-math.pi, math.pi, 9):
