@@ -28,10 +28,11 @@ factor weights, as (factor, tone, step), _step_unitaries writes the chunk's
 step unitaries into one workspace per thread, time_ordered_product multiplies
 them there in pairwise levels (an unrolled 3x3 product on long levels, one
 np.einsum call on shorter ones, np.matmul on the last few), and each later
-chunk's product multiplies the result so far. The workspace holds the step stack and one scratch area that the step kernel's
-temporaries and the product's levels share (480 B per step), and is kept
-across chunks and calls. Memory is therefore bounded by the chunk, not by the
-step count; MAX_STEPS bounds the time. Each node lies on a uniform grid
+chunk's product multiplies the result so far. The workspace holds the step
+stack and one scratch area that the step kernel's temporaries and the
+product's levels share (480 B per step), and is kept across chunks and
+calls. Memory is therefore bounded by the chunk, not by the step count;
+MAX_STEPS bounds the time. Each node lies on a uniform grid
 t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
 come from one table of B + 2 ceil(m / B) complex exponentials per tone
 (B = _PHASE_BLOCK), at one complex multiply per node.

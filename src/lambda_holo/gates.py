@@ -8,7 +8,6 @@ overlap between the ideal output and the exactly propagated output.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -100,9 +99,8 @@ def unitary_outcome(u_exact: np.ndarray, u_ideal: np.ndarray, psi: np.ndarray) -
     e0, e1, e2 = exact.tolist()
     i0, i1, i2 = (u_ideal @ psi).tolist()
     ov = i0.conjugate() * e0 + i1.conjugate() * e1 + i2.conjugate() * e2
-    return GateOutcome(
-        fidelity=abs(ov), excited_population=abs(e2) ** 2, overlap_phase=cmath.phase(ov)
-    )
+    phase = math.atan2(ov.imag, ov.real)
+    return GateOutcome(fidelity=abs(ov), excited_population=abs(e2) ** 2, overlap_phase=phase)
 
 
 def gate_outcome(

@@ -184,7 +184,8 @@ class DriveSpec:
         is used explicitly. Both coefficients are Python complex numbers.
         """
         check_angles(theta, phi)
+        phase = cmath.exp(1j * phi)
         if abs(theta - math.pi) < 1e-12:
-            return cls(envelope=env, c0=-cmath.exp(1j * phi), c1=0.0 + 0.0j)
-        c0 = -math.sin(theta / 2.0) * cmath.exp(1j * phi)
+            return cls(envelope=env, c0=-phase, c1=0.0 + 0.0j)
+        c0 = -math.sin(theta / 2.0) * phase
         return cls(envelope=env, c0=c0, c1=complex(math.cos(theta / 2.0)))
