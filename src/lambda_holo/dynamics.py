@@ -256,7 +256,9 @@ def _coupling_weights(
     over the node axis gives the first factor A1 w- + A2 w+ and the second
     A2 w- + A1 w+ of every step. The phases come from the _PHASE_BLOCK
     table, to within a few ulp of the largest |2 f t|. The result is a
-    (factor, tone, step) view of a (tone, factor, step) array.
+    (factor, tone, step) view of a (tone, factor, step) array in the
+    coefficient area of this thread's workspace scratch, which _step_unitaries
+    overwrites only after it has read the weights.
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
@@ -270,7 +272,8 @@ def _coupling_weights(
     w = (outer[..., None] * inner[:, None, :]).reshape(2, 2, -1)[:, :, :m]
     w += c
     w *= a[:, None]
-    out = np.matmul(_CF4_WEIGHTS, w.view(float).transpose(1, 0, 2))
+    out = _workspace(m).scratch[11 * m : 15 * m].view(float).reshape(2, 2, 2 * m)
+    np.matmul(_CF4_WEIGHTS, w.view(float).transpose(1, 0, 2), out=out)
     return out.view(complex).transpose(1, 0, 2)
 
 
@@ -304,7 +307,8 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
     buf = _workspace(m).scratch
     # _SCRATCH_PER_STEP m complex numbers: u_a, u_b, conj(u_a), conj(u_b) as (tone, step),
-    # then c - 1, s and c of both factors, the coefficients, and 6 m for the temporaries
+    # then c - 1, s and c of both factors, the coefficients (where _coupling_weights leaves
+    # w, read before the coefficients are formed), and 6 m for the temporaries
     uc = buf[: 8 * m].reshape(4, 2, m)
     reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
     coef = buf[11 * m : 15 * m].reshape(2, 2, m)
