@@ -29,9 +29,9 @@ step unitaries into one workspace per thread, time_ordered_product multiplies
 them there in pairwise levels (an unrolled 3x3 product on long levels, one
 np.einsum call on shorter ones, np.matmul on the last few), and each later
 chunk's product multiplies the result so far. The workspace holds the step
-stack and one scratch area that the step kernel's temporaries and the
-product's levels share (480 B per step), and is kept across chunks and
-calls. Memory is therefore bounded by the chunk, not by the step count;
+stack and one scratch area that the factor weights, the step kernel's
+temporaries and the product's levels share (480 B per step), and is kept
+across chunks and calls. Memory is therefore bounded by the chunk, not by the step count;
 MAX_STEPS bounds the time. Each node lies on a uniform grid
 t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
 come from one table of B + 2 ceil(m / B) complex exponentials per tone
@@ -110,7 +110,6 @@ _MATMUL_BELOW = 32
 _CF4_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
-# (factor, node): the factors' weights of the node Hamiltonians (H-, H+)
 _CF4_WEIGHTS = np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])
 
 
@@ -251,14 +250,12 @@ def _coupling_weights(
 
     a is (2, m), the envelope on the pulse's own clock at the nodes
     t- = t0[0] + k h and t+ = t0[1] + k h; the carrier phases run on the
-    absolute clock of t0. The node weights w_j = c_j a (1 + exp(-2i f_j t))
-    of both tones are formed as (node, tone, step), and one real 2x2 product
-    over the node axis gives the first factor A1 w- + A2 w+ and the second
-    A2 w- + A1 w+ of every step. The phases come from the _PHASE_BLOCK
-    table, to within a few ulp of the largest |2 f t|. The result is a
-    (factor, tone, step) view of a (tone, factor, step) array in the
-    coefficient area of this thread's workspace scratch, which _step_unitaries
-    overwrites only after it has read the weights.
+    absolute clock of t0. One real 2x2 product over the node axis mixes the
+    node weights w_j = c_j a (1 + exp(-2i f_j t)) into A1 w- + A2 w+ and
+    A2 w- + A1 w+. The phases come from the _PHASE_BLOCK table, to within a
+    few ulp of the largest |2 f t|. The weights land in the coefficient area of
+    this thread's workspace scratch, which _step_unitaries overwrites only
+    after reading them.
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
@@ -307,8 +304,7 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
     s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
     buf = _workspace(m).scratch
     # _SCRATCH_PER_STEP m complex numbers: u_a, u_b, conj(u_a), conj(u_b) as (tone, step),
-    # then c - 1, s and c of both factors, the coefficients (where _coupling_weights leaves
-    # w, read before the coefficients are formed), and 6 m for the temporaries
+    # then c - 1, s and c of both factors, the coefficients (w until read), 6 m of temporaries
     uc = buf[: 8 * m].reshape(4, 2, m)
     reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
     coef = buf[11 * m : 15 * m].reshape(2, 2, m)
