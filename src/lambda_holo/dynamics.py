@@ -250,12 +250,12 @@ def _coupling_weights(
 
     a is (2, m), the envelope on the pulse's own clock at the nodes
     t- = t0[0] + k h and t+ = t0[1] + k h; the carrier phases run on the
-    absolute clock of t0. One real 2x2 product over the node axis mixes the
-    node weights w_j = c_j a (1 + exp(-2i f_j t)) into A1 w- + A2 w+ and
-    A2 w- + A1 w+. The phases come from the _PHASE_BLOCK table, to within a
-    few ulp of the largest |2 f t|. The weights land in the coefficient area of
-    this thread's workspace scratch, which _step_unitaries overwrites only
-    after reading them.
+    absolute clock of t0. One np.einsum over the node axis mixes the node
+    weights w_j = c_j a (1 + exp(-2i f_j t)) into A1 w- + A2 w+ and
+    A2 w- + A1 w+ (np.matmul is faster but leaves a BLAS buffer resident).
+    The phases come from the _PHASE_BLOCK table, to within a few ulp of the
+    largest |2 f t|. The weights land in the coefficient area of this thread's
+    workspace scratch, which _step_unitaries overwrites only after reading them.
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
@@ -270,7 +270,7 @@ def _coupling_weights(
     w += c
     w *= a[:, None]
     out = _workspace(m).scratch[11 * m : 15 * m].view(float).reshape(2, 2, 2 * m)
-    np.matmul(_CF4_WEIGHTS, w.view(float).transpose(1, 0, 2), out=out)
+    np.einsum("fn,ntx->tfx", _CF4_WEIGHTS, w.view(float), out=out)
     return out.view(complex).transpose(1, 0, 2)
 
 
