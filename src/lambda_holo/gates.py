@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import LambdaSystem, PropagationConfig, propagator
 from .pulses import DriveSpec, Envelope, check_angles
-from .qstate import DIM, check_norm, state_vector
+from .qstate import check_norm, state_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
