@@ -90,9 +90,9 @@ MAX_STEPS = 5_000_000
 CHUNK_STEPS = 8192
 
 # Complex numbers of workspace scratch per step. The step kernel's temporaries take 21: u
-# and conj(u) of both factors 8, their c - 1, s and c 3, the coefficients 4 (then
-# (c_a - 1) u_a u_a^dagger) and 6 for |w|^2, the outer product of the (c - 1, s, c) and the
-# stacked e column and row. The product's two level buffers and its row buffer take 9 + 1.5.
+# and conj(u) of both factors 8, their c - 1, s and c 3, the coefficients 4 (before them the
+# weights, after them (c_a - 1) u_a u_a^dagger) and 6 for |w|^2, the outer product of the
+# (c - 1, s, c) and the stacked e column and row. The product's levels and row take 9 + 1.5.
 _SCRATCH_PER_STEP = 21
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
