@@ -69,10 +69,9 @@ def _format_value(key: str, value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    spec = _FORMATS.get(key, ".4e" if key.endswith("_rad_s") else None)
-    if spec is None and isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(value, spec or ".6g")
+    text = format(value, _FORMATS.get(key, ".4e" if key.endswith("_rad_s") else ".6g"))
+    # a rounding-level negative, such as an rwa overlap phase of -1e-17, prints unsigned
+    return "0.000000" if text == "-0.000000" else text
 
 
 def render_csv(records: list[dict]) -> str:

@@ -536,3 +536,14 @@ def test_render_round_trip(records):
                 # printing rounds to the last printed place, and parsing is exact to an ulp
                 slack = 2 * np.spacing(max(abs(value), abs(float(cell))))
                 assert abs(float(cell) - value) <= 0.5 * last_place(cell) + slack
+
+
+@pytest.mark.parametrize(
+    "phase, cell", [(-1e-17, "0.000000"), (-4e-7, "0.000000"), (-6e-7, "-0.000001")]
+)
+def test_rounding_level_phase_prints_unsigned(phase, cell):
+    # the rwa overlap phase is 0 in exact arithmetic; its residue's sign is not printed
+    assert _format_value("overlap_phase", phase) == cell
+    record = SweepPoint({"mode": "rwa"}, fidelity=1.0, overlap_phase=phase).record()
+    assert render_csv([record]).splitlines()[1].endswith("," + cell)
+    assert json.loads(render_json([record]))[0]["overlap_phase"] == phase  # JSON keeps the float
