@@ -16,8 +16,6 @@ import sys as _sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .dynamics import MODES, TRANSMON, LambdaSystem, PropagationConfig
 from .gates import GATE_PRESETS, GateSpec, INPUT_STATES
 from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS
@@ -133,7 +131,7 @@ def _gate_spec(cfg: RunConfig) -> GateSpec:
     raise ValueError(f"--gate must be one of {tuple(GATE_PRESETS)} or 'custom', got {cfg.gate!r}")
 
 
-def _fig1_durations_ns(cfg: RunConfig) -> np.ndarray:
+def _fig1_durations_ns(cfg: RunConfig):
     for option, value in (("--tau-min-ns", cfg.tau_min_ns), ("--tau-max-ns", cfg.tau_max_ns)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{option} must be positive and finite, got {value!r}")
