@@ -21,7 +21,6 @@ from .gates import (
     INPUT_STATES,
     NOT_GATE,
     GateSpec,
-    drive_for_gate,
     gate_outcome,
     ideal_gate,
 )

@@ -65,11 +65,6 @@ def ideal_gate(gate: GateSpec) -> np.ndarray:
     return np.array([[ct, u01, 0.0], [u10, -ct, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 
 
-def drive_for_gate(gate: GateSpec, env: Envelope) -> DriveSpec:
-    """Drive whose coefficient pair realizes the gate's (theta, phi)."""
-    return DriveSpec.for_angles(gate.theta, gate.phi, env)
-
-
 @dataclass(frozen=True)
 class GateOutcome:
     """Fidelity plus the diagnostics recorded with every sweep point."""
@@ -115,4 +110,5 @@ def gate_outcome(
     psi0 must be a unit-norm state on span{|0>, |1>}; it is validated before propagation.
     """
     psi = _require_computational(state_vector(psi0))
-    return unitary_outcome(propagator(sys, drive_for_gate(gate, env), cfg), ideal_gate(gate), psi)
+    drive = DriveSpec.for_angles(gate.theta, gate.phi, env)
+    return unitary_outcome(propagator(sys, drive, cfg), ideal_gate(gate), psi)

@@ -12,20 +12,49 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-
-ENVELOPE_KINDS = ("gaussian", "sech", "parabola", "sin2", "square")
 
 DEFAULT_FWHM_FRACTION = 0.25
 DEFAULT_SECH_BETA = 5.3
 
 # FWHM = 2*sqrt(2*ln 2) * sigma for a Gaussian
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_LN2 = math.sqrt(math.log(2.0))
 
-# area over tau of the shapes that span the whole window
-_AREA_FRACTION = {"parabola": 2.0 / 3.0, "sin2": 0.5, "square": 1.0}
+# per kind: the envelope() keyword that sets width_param, and the area of g over [0, tau]
+# and the shape's shortest time scale (before the cap at tau), each from (tau, width_param)
+_Kind = namedtuple("_Kind", "width_option area time_scale")
+
+_KINDS = {
+    # erf argument tau / (2 sqrt(2) sigma) as sqrt(ln 2) / width: sigma may underflow to 0
+    "gaussian": _Kind(
+        "fwhm_fraction",
+        lambda tau, w: w * tau * _FWHM_TO_SIGMA * _SQRT_2PI * math.erf(_SQRT_LN2 / w),
+        lambda tau, w: w * tau * _FWHM_TO_SIGMA,  # sigma
+    ),
+    # tau * gd(beta) / beta; gd(beta) = 2 atan(tanh(beta/2)) stays finite where the equal
+    # atan(sinh(beta)) overflows (beta > ~710)
+    "sech": _Kind(
+        "sech_beta",
+        lambda tau, w: tau * (2.0 * math.atan(math.tanh(0.5 * w)) / w),
+        lambda tau, w: tau / (2.0 * w),
+    ),
+    # the kinds that span the whole window
+    "parabola": _Kind(None, lambda tau, w: 2.0 / 3.0 * tau, lambda tau, w: tau),
+    "sin2": _Kind(None, lambda tau, w: 0.5 * tau, lambda tau, w: tau),
+    "square": _Kind(None, lambda tau, w: tau, lambda tau, w: tau),
+}
+ENVELOPE_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
+    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -36,6 +65,9 @@ class Envelope:
     tau: float
     width_param: float | None
     amplitude: float
+
+    def __post_init__(self):
+        _kind(self.kind)
 
     def evaluate(self, t) -> np.ndarray:
         """A * g(t); zero outside [0, tau]. Vectorized in t."""
@@ -67,30 +99,15 @@ class Envelope:
             np.divide(g, tau, out=g)
             np.sin(g, out=g)
             np.square(g, out=g)
-        elif kind == "square":
+        else:  # square
             g.fill(1.0)
-        else:
-            raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
         np.copyto(g, 0.0, where=outside)
         return np.multiply(g, self.amplitude)
 
     @property
     def area(self) -> float:
         """Pulse area A * integral of g over [0, tau], in closed form; pi from envelope()."""
-        kind, tau, width = self.kind, self.tau, self.width_param
-        if kind == "gaussian":
-            # erf argument tau / (2 sqrt(2) sigma) as sqrt(ln 2) / width: sigma may underflow to 0
-            sigma = width * tau * _FWHM_TO_SIGMA
-            shape = sigma * math.sqrt(2.0 * math.pi) * math.erf(math.sqrt(math.log(2.0)) / width)
-        elif kind == "sech":
-            # tau * gd(beta) / beta; gd(beta) = 2 atan(tanh(beta/2)) stays finite where
-            # the equal atan(sinh(beta)) overflows (beta > ~710)
-            shape = tau * (2.0 * math.atan(math.tanh(0.5 * width)) / width)
-        elif kind in _AREA_FRACTION:
-            shape = _AREA_FRACTION[kind] * tau
-        else:
-            raise ValueError(f"unknown envelope kind {kind!r}; expected one of {ENVELOPE_KINDS}")
-        return self.amplitude * shape
+        return self.amplitude * _KINDS[self.kind].area(self.tau, self.width_param)
 
     @property
     def time_scale(self) -> float:
@@ -99,13 +116,7 @@ class Envelope:
         sigma for 'gaussian', tau / (2 beta) for 'sech' (its slope at the
         centre), and tau for the kinds that span the whole window.
         """
-        if self.kind == "gaussian":
-            scale = self.width_param * self.tau * _FWHM_TO_SIGMA
-        elif self.kind == "sech":
-            scale = self.tau / (2.0 * self.width_param)
-        else:
-            scale = self.tau
-        return min(scale, self.tau)
+        return min(_KINDS[self.kind].time_scale(self.tau, self.width_param), self.tau)
 
 
 def envelope(
@@ -122,27 +133,21 @@ def envelope(
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
-    if kind == "gaussian":
-        if not (math.isfinite(fwhm_fraction) and fwhm_fraction > 0.0):
-            raise ValueError(f"fwhm_fraction must be positive, got {fwhm_fraction!r}")
-        width = fwhm_fraction
-    elif kind == "sech":
-        if not (math.isfinite(sech_beta) and sech_beta > 0.0):
-            raise ValueError(f"sech_beta must be positive, got {sech_beta!r}")
-        width = sech_beta
-    else:
-        width = None
+    spec = _kind(kind)
+    width = {"fwhm_fraction": fwhm_fraction, "sech_beta": sech_beta}.get(spec.width_option)
+    if spec.width_option is not None and not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"{spec.width_option} must be positive, got {width!r}")
     # evaluate divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
     # needs no check: the area is at most sigma sqrt(2 pi), so a finite 4 A^2 (below)
     # forces 2 sigma^2 >= 4 pi / DBL_MAX
     if kind == "gaussian":
-        sigma = width * tau * _FWHM_TO_SIGMA
+        sigma = spec.time_scale(tau, width)
         if not 2.0 * sigma * sigma < math.inf:
             raise ValueError(
                 f"a gaussian envelope of duration {tau!r} s is not representable: its width, "
                 f"fwhm_fraction = {fwhm_fraction!r} of the duration, is out of floating-point range"
             )
-    area = Envelope(kind=kind, tau=tau, width_param=width, amplitude=1.0).area
+    area = spec.area(tau, width)
     amplitude = math.pi / area if area > 0.0 else math.inf
     # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite
     if not math.isfinite(4.0 * amplitude * amplitude):

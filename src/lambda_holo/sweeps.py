@@ -22,11 +22,11 @@ from .gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    drive_for_gate,
     ideal_gate,
     unitary_outcome,
 )
-from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS, Envelope, envelope
+from .pulses import DEFAULT_FWHM_FRACTION, DEFAULT_SECH_BETA, ENVELOPE_KINDS
+from .pulses import DriveSpec, Envelope, envelope
 
 NS = 1e-9
 
@@ -141,7 +141,7 @@ def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> lis
     built: dict[tuple, np.ndarray] = {}
 
     def pulse_propagator(sys: LambdaSystem, gate: GateSpec, env: Envelope, start: float):
-        drive = drive_for_gate(gate, env)
+        drive = DriveSpec.for_angles(gate.theta, gate.phi, env)
         key = (sys, drive, start, cfg)
         u = built.get(key)
         if u is None:

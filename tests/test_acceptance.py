@@ -30,7 +30,6 @@ from lambda_holo.gates import (
     HADAMARD_GATE,
     INPUT_STATES,
     NOT_GATE,
-    drive_for_gate,
     gate_outcome,
     ideal_gate,
 )
@@ -311,7 +310,7 @@ def test_criterion_6_rwa_oracle_suite():
         for theta in thetas:
             for phi in phis:
                 gate = GateSpec(theta=float(theta), phi=float(phi))
-                u = propagator(TRANSMON, drive_for_gate(gate, env), cfg)
+                u = propagator(TRANSMON, DriveSpec.for_angles(gate.theta, gate.phi, env), cfg)
                 uid = ideal_gate(gate)
                 for label in AVERAGE_INPUT_LABELS:
                     psi = INPUT_STATES[label]
@@ -361,8 +360,8 @@ def test_criterion_7_numerical_contracts(table1_fids, table2_fids, table3_fids):
     # unitarity of representative propagators
     for sysm in (TRANSMON, LambdaSystem(1e8, 1e8), LambdaSystem(0.0, 0.0)):
         for kind in ("gaussian", "square"):
-            u = propagator(sysm, drive_for_gate(NOT_GATE, envelope(kind, 40 * NS)),
-                           PropagationConfig())
+            drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope(kind, 40 * NS))
+            u = propagator(sysm, drive, PropagationConfig())
             ok = ok and unitarity_defect(u) <= 1e-9
 
     # zero-frequency full dynamics equals the doubled-amplitude rotating-wave one

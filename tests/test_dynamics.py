@@ -33,7 +33,6 @@ from lambda_holo.gates import (
     INPUT_STATES,
     NOT_GATE,
     GateSpec,
-    drive_for_gate,
     gate_outcome,
     ideal_gate,
     unitary_outcome,
@@ -55,7 +54,7 @@ RNG = np.random.default_rng(8271)
 
 
 def gaussian_drive(tau_ns=40.0, gate=NOT_GATE):
-    return drive_for_gate(gate, envelope("gaussian", tau_ns * NS))
+    return DriveSpec.for_angles(gate.theta, gate.phi, envelope("gaussian", tau_ns * NS))
 
 
 def fidelity(sys, gate, drive, psi0, cfg):
@@ -167,7 +166,7 @@ def test_floor_loses_no_accuracy_and_refuses_nothing(kind, width, monkeypatch):
         fe0, fe1 = (f_max, ratio * f_max) if ratio <= 1 else (f_max / ratio, f_max)
         sys = LambdaSystem(fe0, fe1)
         gate = FLOOR_GATES[i % len(FLOOR_GATES)]
-        drive = drive_for_gate(gate, env)
+        drive = DriveSpec.for_angles(gate.theta, gate.phi, env)
         n_old = old_num_steps(sys, tau, cfg)
         n = num_steps(sys, tau, cfg, env.time_scale)
         assert n <= n_old == MIN_STEPS
@@ -246,7 +245,8 @@ def test_pulse_start_separates_envelope_and_phase_clocks():
 def test_phase_table_matches_per_step_phases(n, t0):
     # the outer[q] * inner[r] table against exp(-2i f t_k) taken step by step, in both CF4
     # combinations of the node weights; at t0 = 10 us the phases 2 fe0 t reach 1.0e6 rad
-    drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", 40 * NS))
+    env = envelope("gaussian", 40 * NS)
+    drive = DriveSpec.for_angles(HADAMARD_GATE.theta, HADAMARD_GATE.phi, env)
     h = 40 * NS / 25876
     a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
     starts = t0 + np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6]) * h
@@ -411,7 +411,7 @@ def test_chunked_propagator_matches_whole_stack(n):
     sys = system_for_steps(n, tau)
     cfg = PropagationConfig()
     assert num_steps(sys, tau, cfg) == n
-    drive = drive_for_gate(HADAMARD_GATE, envelope("gaussian", tau))
+    drive = DriveSpec.for_angles(HADAMARD_GATE.theta, HADAMARD_GATE.phi, envelope("gaussian", tau))
     for start in (0.0, 37 * NS):
         whole = time_ordered_product(cf4_stack(sys, drive, n, start))
         assert np.abs(propagator(sys, drive, cfg, pulse_start=start) - whole).max() < 1e-13
@@ -422,7 +422,11 @@ def test_concurrent_builds_match_sequential_builds():
     tau = 40 * NS
     cfg = PropagationConfig()
     jobs = [
-        (system_for_steps(n, tau), drive_for_gate(gate, envelope(kind, tau)), start)
+        (
+            system_for_steps(n, tau),
+            DriveSpec.for_angles(gate.theta, gate.phi, envelope(kind, tau)),
+            start,
+        )
         for n, gate, kind, start in (
             (MIN_STEPS, NOT_GATE, "gaussian", 0.0),
             (CHUNK_STEPS + 1, HADAMARD_GATE, "sin2", 40 * NS),
@@ -460,7 +464,7 @@ def test_kept_workspace_is_bounded():
     n = 2 * CHUNK_STEPS + 1
     us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7)
     time_ordered_product(us)
-    drive = drive_for_gate(NOT_GATE, envelope("gaussian", 100 * NS))
+    drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope("gaussian", 100 * NS))
     propagator(TRANSMON, drive, PropagationConfig())  # 12,938 steps in 2 chunks
     kept = dynamics._workspace(1)
     assert kept.size <= CHUNK_STEPS
@@ -474,7 +478,11 @@ def test_unitarity_defect_of_long_transmon_pulses():
     # when each step was two factor unitaries multiplied in the product tree
     cfg = PropagationConfig()
     worst = max(
-        unitarity_defect(propagator(TRANSMON, drive_for_gate(gate, envelope(kind, tau * NS)), cfg))
+        unitarity_defect(
+            propagator(
+                TRANSMON, DriveSpec.for_angles(gate.theta, gate.phi, envelope(kind, tau * NS)), cfg
+            )
+        )
         for tau in (100.0, 137.0)
         for kind in ENVELOPE_KINDS
         for gate in (NOT_GATE, HADAMARD_GATE)
@@ -515,7 +523,8 @@ def test_unresolved_envelope_is_refused_before_any_step(sys, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_coupling_weights", no_steps)
     monkeypatch.setattr(dynamics, "_step_unitaries", no_steps)
-    drive = drive_for_gate(NOT_GATE, envelope("gaussian", 40 * NS, fwhm_fraction=1e-7))
+    env = envelope("gaussian", 40 * NS, fwhm_fraction=1e-7)
+    drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, env)
     with pytest.raises(NumericalContractError, match="the envelope is not resolved"):
         propagator(sys, drive, PropagationConfig())
 
@@ -584,7 +593,7 @@ def test_envelope_sampled_once_for_one_chunk(n, sampled, monkeypatch):
 
     monkeypatch.setattr(Envelope, "evaluate", counted)
     tau = 40 * NS
-    drive = drive_for_gate(NOT_GATE, envelope("sin2", tau))
+    drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope("sin2", tau))
     propagator(system_for_steps(n, tau), drive, PropagationConfig())
     assert calls == sampled
 
@@ -613,7 +622,8 @@ def test_theta_pi_rwa_propagator_is_pinned():
 def test_rwa_holds_for_all_envelope_kinds():
     cfg = PropagationConfig(mode="rwa")
     for kind in ("gaussian", "sech", "parabola", "sin2", "square"):
-        drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
+        env = envelope(kind, 40 * NS)
+        drive = DriveSpec.for_angles(HADAMARD_GATE.theta, HADAMARD_GATE.phi, env)
         out = propagator(TRANSMON, drive, cfg) @ INPUT_STATES["y+"]
         ideal = ideal_gate(HADAMARD_GATE) @ INPUT_STATES["y+"]
         assert abs(abs(np.vdot(ideal, out)) - 1.0) < 1e-6
@@ -668,7 +678,8 @@ def test_rwa_propagator_is_independent_of_system_and_start(monkeypatch):
     monkeypatch.setattr(dynamics, "time_ordered_product", no_product)
     cfg = PropagationConfig(mode="rwa")
     for kind in ENVELOPE_KINDS:
-        drive = drive_for_gate(HADAMARD_GATE, envelope(kind, 40 * NS))
+        env = envelope(kind, 40 * NS)
+        drive = DriveSpec.for_angles(HADAMARD_GATE.theta, HADAMARD_GATE.phi, env)
         base = propagator(TRANSMON, drive, cfg)
         assert np.array_equal(propagator(LambdaSystem(1e12, 1e12), drive, cfg), base)
         assert np.array_equal(propagator(LambdaSystem(0.0, 0.0), drive, cfg, 80 * NS), base)
@@ -751,7 +762,7 @@ def test_sequence_uses_continuous_carrier():
         ("hadamard_then_not", (HADAMARD_GATE, NOT_GATE)),
         ("not_then_hadamard", (NOT_GATE, HADAMARD_GATE)),
     ):
-        first, second = (drive_for_gate(g, env) for g in gates)
+        first, second = (DriveSpec.for_angles(g.theta, g.phi, env) for g in gates)
         ideal = ideal_gate(gates[1]) @ ideal_gate(gates[0])
         row = rows[label]
         got = (row.fidelity, row.excited_population)
@@ -765,7 +776,7 @@ def test_degenerate_limit_equals_doubled_rwa():
     env = envelope("gaussian", 40 * NS)
     doubled = replace(env, amplitude=2 * env.amplitude)
     for gate in (NOT_GATE, HADAMARD_GATE):
-        d_full = drive_for_gate(gate, env)
+        d_full = DriveSpec.for_angles(gate.theta, gate.phi, env)
         d_rwa = DriveSpec(envelope=doubled, c0=d_full.c0, c1=d_full.c1)
         sys0 = LambdaSystem(0.0, 0.0)
         for label in ("0", "x+", "y+"):
@@ -779,7 +790,8 @@ def test_dark_state_invariance_rwa():
     cfg = PropagationConfig(mode="rwa")
     for theta, phi in ((0.3, 0.0), (1.1, -2.0), (2.6, 1.4)):
         gate = GateSpec(theta=theta, phi=phi)
-        u = propagator(TRANSMON, drive_for_gate(gate, envelope("sin2", 40 * NS)), cfg)
+        drive = DriveSpec.for_angles(gate.theta, gate.phi, envelope("sin2", 40 * NS))
+        u = propagator(TRANSMON, drive, cfg)
         dark = dark_state(gate)
         out = u @ dark
         assert abs(abs(np.vdot(dark, out)) - 1.0) < 1e-8
@@ -795,7 +807,7 @@ def test_amplitude_convergence_under_refinement():
     # measured to require a base of 160 samples per counter-rotating period in
     # the plateau regime and 320 in the short-pulse breakdown regime
     for kind, tau_ns, base in (("gaussian", 40.0, 160), ("square", 2.5, 320)):
-        drive = drive_for_gate(NOT_GATE, envelope(kind, tau_ns * NS))
+        drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope(kind, tau_ns * NS))
         coarse, fine = (
             propagator(TRANSMON, drive, PropagationConfig(steps_per_cycle=n)) @ INPUT_STATES["0"]
             for n in (base, 2 * base)

@@ -139,6 +139,14 @@ def test_invalid_envelope_parameters():
             envelope(kind, tau)
 
 
+def test_unknown_kind_is_refused_where_an_envelope_is_built():
+    message = "unknown envelope kind 'triangle'"
+    with pytest.raises(ValueError, match=message):
+        Envelope("triangle", 40 * NS, None, 1.0)
+    with pytest.raises(ValueError, match=message):
+        envelope("triangle", 40 * NS)
+
+
 def test_not_gate_ratio_is_one():
     drive = DriveSpec.for_angles(math.pi / 2, math.pi, ENV)
     c0, c1 = drive.c0, drive.c1

@@ -27,8 +27,8 @@ from lambda_holo.dynamics import (
     num_steps,
     propagator,
 )
-from lambda_holo.gates import INPUT_STATES, GateSpec, drive_for_gate, gate_outcome
-from lambda_holo.pulses import ENVELOPE_KINDS, envelope
+from lambda_holo.gates import INPUT_STATES, GateSpec, gate_outcome
+from lambda_holo.pulses import ENVELOPE_KINDS, DriveSpec, envelope
 from lambda_holo.qstate import NORM_TOL, UNITARY_TOL, unitarity_defect
 
 RWA = PropagationConfig(mode="rwa")
@@ -62,7 +62,7 @@ def test_rwa_pulse_is_the_ideal_gate(kind, log10_tau_ns, theta, phi, label):
 )
 def test_full_propagator_is_unitary(kind, tau_ns, scale, theta, phi, label):
     sys = LambdaSystem(scale * TRANSMON.fe0, scale * TRANSMON.fe1)
-    drive = drive_for_gate(GateSpec(theta=theta, phi=phi), envelope(kind, tau_ns * 1e-9))
+    drive = DriveSpec.for_angles(theta, phi, envelope(kind, tau_ns * 1e-9))
     u = propagator(sys, drive, PropagationConfig())
     assert unitarity_defect(u) <= UNITARY_TOL
     assert abs(np.linalg.norm(u @ INPUT_STATES[label]) - 1.0) <= NORM_TOL
@@ -81,7 +81,8 @@ def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, t
     # the RWA rotation at twice the amplitude up to the Gauss-Legendre residue of the area
     gate = GateSpec(theta=theta, phi=phi)
     env = envelope(kind, 10.0**log10_tau_ns * 1e-9)
-    full = propagator(ZERO, drive_for_gate(gate, env), PropagationConfig()) @ INPUT_STATES[label]
+    drive = DriveSpec.for_angles(gate.theta, gate.phi, env)
+    full = propagator(ZERO, drive, PropagationConfig()) @ INPUT_STATES[label]
     n = num_steps(ZERO, env.tau, PropagationConfig(), env.time_scale)
     h = env.tau / n
     nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
@@ -90,7 +91,7 @@ def test_zero_frequency_full_is_rwa_at_twice_the_amplitude(kind, log10_tau_ns, t
         (2 * env.amplitude, 2 * abs(sampled - env.area) + 1e-12),
         (2 * env.amplitude * sampled / env.area, 1e-12),
     ):
-        doubled = drive_for_gate(gate, replace(env, amplitude=amplitude))
+        doubled = DriveSpec.for_angles(gate.theta, gate.phi, replace(env, amplitude=amplitude))
         rwa = propagator(ZERO, doubled, RWA) @ INPUT_STATES[label]
         assert np.abs(full - rwa).max() <= tol
 
@@ -130,7 +131,7 @@ def test_full_propagator_does_not_depend_on_build_order(builds, data):
         f = (n - 0.5) * 2 * math.pi / (cfg.steps_per_cycle * TAU * 2)
         sys = LambdaSystem(f, 0.9 * f)
         assert num_steps(sys, TAU, cfg) == n
-        drive = drive_for_gate(GateSpec(theta=theta, phi=0.3), envelope(kind, TAU))
+        drive = DriveSpec.for_angles(theta, 0.3, envelope(kind, TAU))
         jobs.append((sys, drive, start))
     order = data.draw(st.permutations(range(len(jobs))))
     first = {i: propagator(jobs[i][0], jobs[i][1], cfg, jobs[i][2]) for i in order}
