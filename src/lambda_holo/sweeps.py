@@ -1,8 +1,10 @@
 """Parameter-sweep harness: frequency, envelope/input, duration and sequence scans.
 
 Every sweep returns a list of SweepPoint records in deterministic parameter
-order; each record echoes the full coordinates of the run so an output file
-needs no ambient context to interpret. A sweep first lays out its rows, then
+order; each record echoes the coordinates of the run so an output file needs
+no ambient context to interpret, except the step resolution: a record does not
+say which PropagationConfig.steps_per_cycle built it, so the same run at two
+resolutions prints the same columns. A sweep first lays out its rows, then
 evaluates them in order in one process, building each distinct propagator
 once and applying it to every input state and row that needs it.
 """

@@ -149,6 +149,23 @@ def test_gate_outcome_is_the_sweep_record(mode):
             ), (gate, label)
 
 
+@pytest.mark.parametrize("mode", ("full", "rwa"))
+def test_averaged_row_is_the_mean_of_its_single_input_rows(mode):
+    # bit for bit, as np.mean averages: the rows share a propagator and outcome arithmetic
+    cfg = PropagationConfig(mode=mode)
+    durations = (1.0, 2.5, 7.3, 40.0, 63.0, 99.0)
+    for gate in (NOT_GATE, HADAMARD_GATE):
+        averaged = duration_average_sweep(durations, (gate,), cfg=cfg)
+        single = [
+            duration_sweep(durations, ("gaussian",), gate=gate, input_label=label, cfg=cfg)
+            for label in AVERAGE_INPUT_LABELS
+        ]
+        for row, *rows in zip(averaged, *single, strict=True):
+            assert {p.coordinates["tau_ns"] for p in rows} == {row.coordinates["tau_ns"]}
+            assert row.fidelity == np.mean([p.fidelity for p in rows])
+            assert row.excited_population == np.mean([p.excited_population for p in rows])
+
+
 def test_record_layout():
     points = frequency_sweep(freqs=(1e8,))
     rec = points[0].record()
