@@ -26,8 +26,8 @@ FORMATS = ("csv", "json")
 
 _GHZ_TO_RAD_S = 2.0 * math.pi * 1e9
 
-# fig1 holds its rows in memory, about 1.6 KB each and two per point: the cap keeps that
-# near 350 MB (peak RSS of `fig1 --mode rwa`: 36 MB at 2,000 points, 188 MB at 50,000)
+# fig1 holds its rows in memory, about 1.3 KB each and two per point: the cap keeps that
+# near 290 MB (peak RSS of `fig1 --mode rwa`: 35 MB at 2,000 points, 161 MB at 50,000)
 MAX_FIG1_POINTS = 100_000
 
 
@@ -48,7 +48,7 @@ class RunConfig:
     input_label: str = "0"
     mode: str = PropagationConfig.mode
     steps_per_cycle: int = PropagationConfig.steps_per_cycle
-    workers: int = 1
+    workers: int = 1  # unread; bench/workloads.py passes it (ROADMAP item 1(a))
     output: str | None = None
     fmt: str = "csv"
     frequencies: tuple[float, ...] | None = None
@@ -177,7 +177,6 @@ def run(cfg: RunConfig) -> int:
         fwhm_fraction=cfg.fwhm_fraction,
         sech_beta=cfg.sech_beta,
         cfg=PropagationConfig(mode=cfg.mode, steps_per_cycle=cfg.steps_per_cycle),
-        workers=cfg.workers,
     )
     sys_ = LambdaSystem(fe0=cfg.fe0, fe1=cfg.fe1)
     try:

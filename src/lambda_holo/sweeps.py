@@ -5,8 +5,9 @@ order; each record echoes the coordinates of the run so an output file needs
 no ambient context to interpret, except the step resolution: a record does not
 say which PropagationConfig.steps_per_cycle built it, so the same run at two
 resolutions prints the same columns. A sweep first lays out its rows, then
-evaluates them in order in one process, building each distinct propagator
-once and applying it to every input state and row that needs it.
+evaluates them in order in one process, building each distinct propagator of a
+row group (consecutive rows with one system and envelope) once and applying it
+to every input state and row of the group that needs it.
 """
 
 from __future__ import annotations
@@ -130,33 +131,30 @@ def _mean(values: list[float]) -> float:
     return total / len(values)
 
 
-def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig, workers: int) -> list[SweepPoint]:
-    """Evaluate rows in order, building each distinct propagator once.
+def _evaluate(rows: Sequence[_Row], cfg: PropagationConfig) -> list[SweepPoint]:
+    """Evaluate rows in order, building each distinct propagator of a row group once.
 
-    Propagators are keyed on (system, drive, pulse start, config) in a dict
-    that lives only for this call. Evaluation is sequential in the calling
-    thread: workers is validated, and kept only because bench/workloads.py
-    passes it.
+    A row group is a run of consecutive rows with equal system and envelope,
+    and only its rows can share a propagator. Propagators are keyed on (gate,
+    pulse start) in a dict that is emptied whenever a row's (system, envelope)
+    differs from the previous row's, so it holds one group's at a time.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     built: dict[tuple, np.ndarray] = {}
-
-    def pulse_propagator(sys: LambdaSystem, gate: GateSpec, env: Envelope, start: float):
-        drive = DriveSpec.for_angles(gate.theta, gate.phi, env)
-        key = (sys, drive, start, cfg)
-        u = built.get(key)
-        if u is None:
-            u = built[key] = propagator(sys, drive, cfg, pulse_start=start)
-        return u
-
+    group = None
     points = []
     for row in rows:
+        if (row.sys, row.env) != group:
+            group = (row.sys, row.env)
+            built.clear()
         fids, outcomes = [], []
         for gates in row.terms:
             start, u_exact, u_ideal = 0.0, None, None
             for gate in gates:
-                u, ideal = pulse_propagator(row.sys, gate, row.env, start), ideal_gate(gate)
+                u = built.get((gate, start))
+                if u is None:
+                    drive = DriveSpec.for_angles(gate.theta, gate.phi, row.env)
+                    u = built[gate, start] = propagator(row.sys, drive, cfg, pulse_start=start)
+                ideal = ideal_gate(gate)
                 u_exact = u if u_exact is None else u @ u_exact
                 u_ideal = ideal if u_ideal is None else ideal @ u_ideal
                 start += row.env.tau
@@ -189,14 +187,13 @@ def frequency_sweep(
     sech_beta: float = DEFAULT_SECH_BETA,
     input_label: str = "0",
     cfg: PropagationConfig = PropagationConfig(),
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """NOT and Hadamard fidelity vs transition frequency, the same f on both transitions."""
     env = _pulse(kind, tau_ns, fwhm_fraction, sech_beta)
     systems = [LambdaSystem(fe0=float(f), fe1=float(f)) for f in freqs]
     gates = (NOT_GATE, HADAMARD_GATE)
     rows = [_row(s, cfg, env, tau_ns, ((g,),), (input_label,)) for s in systems for g in gates]
-    return _evaluate(rows, cfg, workers)
+    return _evaluate(rows, cfg)
 
 
 def envelope_input_sweep(
@@ -206,7 +203,6 @@ def envelope_input_sweep(
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     cfg: PropagationConfig = PropagationConfig(),
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """NOT fidelity per envelope kind and TABLE2_INPUT_LABELS input at one duration."""
     envs = [_pulse(kind, tau_ns, fwhm_fraction, sech_beta) for kind in ENVELOPE_KINDS]
@@ -215,7 +211,7 @@ def envelope_input_sweep(
         for env in envs
         for label in TABLE2_INPUT_LABELS
     ]
-    return _evaluate(rows, cfg, workers)
+    return _evaluate(rows, cfg)
 
 
 def duration_sweep(
@@ -228,7 +224,6 @@ def duration_sweep(
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     cfg: PropagationConfig = PropagationConfig(),
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Fidelity per (envelope kind, pulse duration) for one gate and input."""
     rows = [
@@ -236,7 +231,7 @@ def duration_sweep(
         for kind in kinds
         for t in map(float, durations_ns)
     ]
-    return _evaluate(rows, cfg, workers)
+    return _evaluate(rows, cfg)
 
 
 def duration_average_sweep(
@@ -248,7 +243,7 @@ def duration_average_sweep(
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     cfg: PropagationConfig = PropagationConfig(),
-    workers: int = 1,
+    workers: int = 1,  # unread; bench/workloads.py passes it (ROADMAP item 1(a))
 ) -> list[SweepPoint]:
     """Input-averaged fidelity per (gate, duration) over a dense duration grid."""
     taus = [float(t) for t in durations_ns]
@@ -258,7 +253,7 @@ def duration_average_sweep(
         for g in gates
         for t, env in zip(taus, envs)
     ]
-    return _evaluate(rows, cfg, workers)
+    return _evaluate(rows, cfg)
 
 
 def sequence_sweep(
@@ -269,7 +264,6 @@ def sequence_sweep(
     fwhm_fraction: float = DEFAULT_FWHM_FRACTION,
     sech_beta: float = DEFAULT_SECH_BETA,
     cfg: PropagationConfig = PropagationConfig(),
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Hadamard/NOT two-pulse combinations vs the product of single-gate fidelities.
 
@@ -289,4 +283,4 @@ def sequence_sweep(
             _row(sys, cfg, env, t, terms[label], AVERAGE_INPUT_LABELS, sequence=label)
             for label in SEQUENCE_LABELS
         ]
-    return _evaluate(rows, cfg, workers)
+    return _evaluate(rows, cfg)

@@ -45,7 +45,6 @@ from lambda_holo.sweeps import (
 from oracles import dark_state
 
 NS = 1e-9
-WORKERS = 4
 
 # Published reference fidelities (four decimals).
 TABLE1_REFS = {
@@ -107,22 +106,22 @@ def _by(points, *keys):
 
 @pytest.fixture(scope="module")
 def table1_fids():
-    return _by(frequency_sweep(workers=WORKERS), "fe0_rad_s", "gate")
+    return _by(frequency_sweep(), "fe0_rad_s", "gate")
 
 
 @pytest.fixture(scope="module")
 def table2_fids():
-    return _by(envelope_input_sweep(workers=WORKERS), "envelope", "input")
+    return _by(envelope_input_sweep(), "envelope", "input")
 
 
 @pytest.fixture(scope="module")
 def table3_fids():
-    return _by(duration_sweep(workers=WORKERS), "envelope", "tau_ns")
+    return _by(duration_sweep(), "envelope", "tau_ns")
 
 
 @pytest.fixture(scope="module")
 def fig1_curves():
-    points = duration_average_sweep(workers=WORKERS)
+    points = duration_average_sweep()
     curves = {}
     for p in points:
         curves.setdefault(p.coordinates["gate"], []).append(
@@ -133,7 +132,7 @@ def fig1_curves():
 
 @pytest.fixture(scope="module")
 def fig2_curves():
-    points = sequence_sweep(workers=WORKERS)
+    points = sequence_sweep()
     curves = {}
     for p in points:
         curves.setdefault(p.coordinates["sequence"], []).append(
@@ -338,17 +337,17 @@ def test_criterion_7_numerical_contracts(table1_fids, table2_fids, table3_fids):
     ok = True
     worst_plateau, worst_breakdown = 0.0, 0.0
 
-    t1 = _by(frequency_sweep(cfg=fine, workers=WORKERS), "fe0_rad_s", "gate")
+    t1 = _by(frequency_sweep(cfg=fine), "fe0_rad_s", "gate")
     for key, fid in table1_fids.items():
         delta = abs(fid - t1[key])
         if key[0] in BREAKDOWN_T1:
             worst_breakdown = max(worst_breakdown, delta)
         else:
             worst_plateau = max(worst_plateau, delta)
-    t2 = _by(envelope_input_sweep(cfg=fine, workers=WORKERS), "envelope", "input")
+    t2 = _by(envelope_input_sweep(cfg=fine), "envelope", "input")
     for key, fid in table2_fids.items():
         worst_plateau = max(worst_plateau, abs(fid - t2[key]))
-    t3 = _by(duration_sweep(cfg=fine, workers=WORKERS), "envelope", "tau_ns")
+    t3 = _by(duration_sweep(cfg=fine), "envelope", "tau_ns")
     for key, fid in table3_fids.items():
         delta = abs(fid - t3[key])
         if key[1] in BREAKDOWN_T3:

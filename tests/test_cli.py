@@ -271,17 +271,6 @@ def test_invalid_theta_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_workers_below_one_is_refused():
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        sweeps.frequency_sweep(workers=0)
-
-
-def test_fig2_byte_identical_across_workers():
-    a = sweeps.sequence_sweep((10.0, 12.0))
-    b = sweeps.sequence_sweep((10.0, 12.0), workers=3)
-    assert render_csv([p.record() for p in a]) == render_csv([p.record() for p in b])
-
-
 def test_empty_grid_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fig1", "--points", "0", "-o", str(tmp_path / "x.csv")])

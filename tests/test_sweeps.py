@@ -1,4 +1,6 @@
 import functools
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,13 +66,12 @@ def test_frequency_sweep_shape_and_coordinates():
         assert p.overlap_phase is not None
 
 
-def test_frequency_sweep_deterministic_and_worker_independent():
+def test_frequency_sweep_deterministic():
     a = frequency_sweep(freqs=(1e6, 1e9))
     b = frequency_sweep(freqs=(1e6, 1e9))
-    c = frequency_sweep(freqs=(1e6, 1e9), workers=3)
-    for x, y, z in zip(a, b, c):
-        assert x.fidelity == y.fidelity == z.fidelity
-        assert x.coordinates == y.coordinates == z.coordinates
+    for x, y in zip(a, b):
+        assert x.fidelity == y.fidelity
+        assert x.coordinates == y.coordinates
 
 
 def test_envelope_input_sweep_grid():
@@ -207,6 +208,43 @@ def test_unknown_input_is_refused_before_propagating(propagator_calls):
     assert propagator_calls == []
 
 
+@pytest.mark.parametrize(
+    "sweep, durations_ns",
+    [
+        (duration_sweep, (40.0, -1.0)),
+        (sequence_sweep, (10.0, -1.0)),
+        (duration_average_sweep, (10.0, math.nan)),
+    ],
+)
+def test_bad_duration_is_refused_before_propagating(propagator_calls, sweep, durations_ns):
+    # every row is laid out before any is evaluated, so a bad last duration builds nothing
+    with pytest.raises(ValueError, match="pulse duration must be positive and finite"):
+        sweep(durations_ns)
+    assert propagator_calls == []
+
+
+@pytest.mark.parametrize(
+    "sweep, held",
+    [
+        (sequence_sweep, 4),  # NOT and Hadamard at pulse starts 0 and tau, per duration
+        (duration_average_sweep, 1),  # each (gate, duration) row is a group of its own
+    ],
+)
+def test_only_one_row_group_of_propagators_is_held(monkeypatch, sweep, held):
+    # only consecutive rows of one system and envelope can share a propagator
+    real, refs, alive = sweeps.propagator, [], []
+
+    def tracked(*args, **kwargs):
+        u = real(*args, **kwargs)
+        refs.append(weakref.ref(u))
+        alive.append(sum(r() is not None for r in refs))
+        return u
+
+    monkeypatch.setattr(sweeps, "propagator", tracked)
+    sweep(cfg=PropagationConfig(mode="rwa"))
+    assert 0 < max(alive) <= held
+
+
 ORDER_CFGS = (PropagationConfig(), PropagationConfig(mode="rwa"))
 
 
@@ -235,7 +273,7 @@ def records_by_coordinates(points):
 
 @functools.cache
 def laid_out_records(cfg):
-    return records_by_coordinates(sweeps._evaluate(order_rows(cfg), cfg, 1))
+    return records_by_coordinates(sweeps._evaluate(order_rows(cfg), cfg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -245,4 +283,4 @@ def test_row_order_does_not_change_records(data):
     # order; every record keeps its bits
     for cfg in data.draw(st.permutations(ORDER_CFGS)):
         rows = data.draw(st.permutations(order_rows(cfg)))
-        assert records_by_coordinates(sweeps._evaluate(rows, cfg, 1)) == laid_out_records(cfg)
+        assert records_by_coordinates(sweeps._evaluate(rows, cfg)) == laid_out_records(cfg)
