@@ -57,6 +57,14 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
+def _check_shape(spec: _Kind, tau: float, width: float | None) -> None:
+    """Raise ValueError unless tau, and the width if the kind takes one, are positive and finite."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
+    if spec.width_option is not None and not (width is not None and 0.0 < width < math.inf):
+        raise ValueError(f"{spec.width_option} must be positive, got {width!r}")
+
+
 @dataclass(frozen=True)
 class Envelope:
     """A pulse shape with duration tau (s) and amplitude scale (rad/s)."""
@@ -67,7 +75,7 @@ class Envelope:
     amplitude: float
 
     def __post_init__(self):
-        _kind(self.kind)
+        _check_shape(_kind(self.kind), self.tau, self.width_param)
 
     def evaluate(self, t) -> np.ndarray:
         """A * g(t); zero outside [0, tau]. Vectorized in t."""
@@ -131,12 +139,9 @@ def envelope(
     as a fraction of tau, for 'sech' the dimensionless steepness beta in
     sech(beta * (2t/tau - 1)); the remaining kinds span the full window.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
     spec = _kind(kind)
     width = {"fwhm_fraction": fwhm_fraction, "sech_beta": sech_beta}.get(spec.width_option)
-    if spec.width_option is not None and not (math.isfinite(width) and width > 0.0):
-        raise ValueError(f"{spec.width_option} must be positive, got {width!r}")
+    _check_shape(spec, tau, width)
     # evaluate divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
     # needs no check: the area is at most sigma sqrt(2 pi), so a finite 4 A^2 (below)
     # forces 2 sigma^2 >= 4 pi / DBL_MAX
@@ -178,7 +183,7 @@ class DriveSpec:
 
     def __post_init__(self):
         weight = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(weight - 1.0) > 1e-12:
+        if not abs(weight - 1.0) <= 1e-12:  # a NaN coefficient fails this too
             raise ValueError(f"|c0|^2 + |c1|^2 must be 1, got {weight!r}")
 
     @classmethod

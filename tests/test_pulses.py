@@ -147,6 +147,20 @@ def test_unknown_kind_is_refused_where_an_envelope_is_built():
         envelope("triangle", 40 * NS)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sech", 40 * NS, None, 1.0), "sech_beta must be positive, got None"),
+        (("gaussian", 40 * NS, 0.0, 1.0), "fwhm_fraction must be positive, got 0.0"),
+        (("square", -40 * NS, None, 1.0), "pulse duration must be positive and finite"),
+        (("sin2", math.nan, None, 1.0), "pulse duration must be positive and finite"),
+    ],
+)
+def test_bad_duration_or_width_is_refused_where_an_envelope_is_built(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Envelope(*args)
+
+
 def test_not_gate_ratio_is_one():
     drive = DriveSpec.for_angles(math.pi / 2, math.pi, ENV)
     c0, c1 = drive.c0, drive.c1
@@ -212,3 +226,7 @@ def test_drivespec_rejects_unnormalized_coefficients():
     env = envelope("square", 40 * NS)
     with pytest.raises(ValueError):
         DriveSpec(envelope=env, c0=1.0 + 0j, c1=1.0 + 0j)
+    # a NaN weight would otherwise surface later as a unitarity defect of nan (exit 1)
+    for c0 in (complex("nan"), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"\|c0\|\^2 \+ \|c1\|\^2 must be 1, got nan"):
+            DriveSpec(envelope=env, c0=c0, c1=0j)
