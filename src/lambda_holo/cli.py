@@ -145,7 +145,7 @@ def _fig1_durations_ns(cfg: RunConfig):
 # command -> sweep call, given the config, its system and the keyword arguments all presets share
 _PRESETS = {
     "table1": lambda c, sys_, kw: sweeps.frequency_sweep(
-        c.frequencies or sweeps.TABLE1_FREQUENCIES,
+        sweeps.TABLE1_FREQUENCIES if c.frequencies is None else c.frequencies,
         tau_ns=c.tau_ns,
         kind=c.envelope,
         input_label=c.input_label,
@@ -153,13 +153,16 @@ _PRESETS = {
     ),
     "table2": lambda c, sys_, kw: sweeps.envelope_input_sweep(sys=sys_, tau_ns=c.tau_ns, **kw),
     "table3": lambda c, sys_, kw: sweeps.duration_sweep(
-        c.durations_ns or sweeps.TABLE3_DURATIONS_NS, sys=sys_, **kw
+        sweeps.TABLE3_DURATIONS_NS if c.durations_ns is None else c.durations_ns, sys=sys_, **kw
     ),
     "fig1": lambda c, sys_, kw: sweeps.duration_average_sweep(
         _fig1_durations_ns(c), sys=sys_, kind=c.envelope, **kw
     ),
     "fig2": lambda c, sys_, kw: sweeps.sequence_sweep(
-        c.durations_ns or sweeps.FIG2_DURATIONS_NS, sys=sys_, kind=c.envelope, **kw
+        sweeps.FIG2_DURATIONS_NS if c.durations_ns is None else c.durations_ns,
+        sys=sys_,
+        kind=c.envelope,
+        **kw,
     ),
     "run": lambda c, sys_, kw: sweeps.duration_sweep(
         (c.tau_ns,), (c.envelope,), sys=sys_, gate=_gate_spec(c), input_label=c.input_label, **kw
@@ -195,7 +198,10 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--steps-per-cycle",
         type=int,
-        help="CF4 steps per counter-rotating period, two exponentials each",
+        help=(
+            "CF4 steps per counter-rotating period, two exponentials each; full mode only "
+            "(rwa mode takes no steps), and a row does not echo it"
+        ),
     )
     parser.add_argument("--mode", choices=MODES)
 

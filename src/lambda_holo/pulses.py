@@ -1,8 +1,9 @@
 """Pulse envelopes, pulse-area normalization, and drive coefficient pairs.
 
 An Envelope is a named shape g(t) supported on [0, tau] together with an
-amplitude scale A chosen so that the integral of A*g over the window equals
-pi (a pi pulse, completing one cyclic evolution of the driven subspace).
+amplitude scale A. envelope() chooses A so that the integral of A*g over the
+window equals pi (a pi pulse, completing one cyclic evolution of the driven
+subspace); a directly built Envelope may carry any A for which 4 A^2 is finite.
 The two drive tones share the envelope; their fixed complex coefficients
 (c0, c1) encode the target rotation angles (theta, phi) through
 c0/c1 = -tan(theta/2) * exp(i*phi) with |c0|^2 + |c1|^2 = 1.
@@ -75,7 +76,22 @@ class Envelope:
     amplitude: float
 
     def __post_init__(self):
-        _check_shape(_kind(self.kind), self.tau, self.width_param)
+        spec = _kind(self.kind)
+        _check_shape(spec, self.tau, self.width_param)
+        # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite
+        bad = None if math.isfinite(4.0 * self.amplitude * self.amplitude) else "amplitude"
+        if self.kind == "gaussian":
+            # evaluate divides by 2 sigma^2, which must be positive and finite. envelope() makes
+            # it 0 only with the amplitude out of range too, and the amplitude is then named
+            sigma = spec.time_scale(self.tau, self.width_param)
+            two_var = 2.0 * sigma * sigma
+            if not (two_var < math.inf and (two_var > 0.0 or bad)):
+                bad = f"width, fwhm_fraction = {self.width_param!r} of the duration,"
+        if bad:
+            raise ValueError(
+                f"a {self.kind} envelope of duration {self.tau!r} s is not representable: "
+                f"its {bad} is out of floating-point range"
+            )
 
     def evaluate(self, t) -> np.ndarray:
         """A * g(t); zero outside [0, tau]. Vectorized in t."""
@@ -141,25 +157,9 @@ def envelope(
     """
     spec = _kind(kind)
     width = {"fwhm_fraction": fwhm_fraction, "sech_beta": sech_beta}.get(spec.width_option)
-    _check_shape(spec, tau, width)
-    # evaluate divides by a Gaussian's 2 sigma^2, which must be finite. Its lower side
-    # needs no check: the area is at most sigma sqrt(2 pi), so a finite 4 A^2 (below)
-    # forces 2 sigma^2 >= 4 pi / DBL_MAX
-    if kind == "gaussian":
-        sigma = spec.time_scale(tau, width)
-        if not 2.0 * sigma * sigma < math.inf:
-            raise ValueError(
-                f"a gaussian envelope of duration {tau!r} s is not representable: its width, "
-                f"fwhm_fraction = {fwhm_fraction!r} of the duration, is out of floating-point range"
-            )
+    _check_shape(spec, tau, width)  # so that the closed-form area can be taken
     area = spec.area(tau, width)
     amplitude = math.pi / area if area > 0.0 else math.inf
-    # a step weight has |w0|^2 + |w1|^2 <= 4 A^2, which must be finite
-    if not math.isfinite(4.0 * amplitude * amplitude):
-        raise ValueError(
-            f"a {kind} envelope of duration {tau!r} s is not representable: "
-            "its amplitude is out of floating-point range"
-        )
     return Envelope(kind=kind, tau=tau, width_param=width, amplitude=amplitude)
 
 

@@ -278,6 +278,29 @@ def test_empty_grid_exits_2(tmp_path, capsys):
     assert "grid is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, grid",
+    [
+        ("table1", {"frequencies": ()}),
+        ("table3", {"durations_ns": ()}),
+        ("fig2", {"durations_ns": ()}),
+    ],
+)
+def test_explicitly_empty_grid_is_refused(command, grid):
+    # an empty grid is not the preset's: only a grid left out (None) falls back to it
+    with pytest.raises(ValueError, match="the sweep grid is empty"):
+        run(RunConfig(command=command, mode="rwa", **grid))
+
+
+def test_fig1_default_grid_is_the_sweeps_one(tmp_path):
+    code, data = run_cli(["fig1", "--mode", "rwa", "--format", "json"], tmp_path, "fig1.json")
+    assert code == 0
+    records = json.loads(data)
+    for gate in ("not", "hadamard"):
+        taus = tuple(r["tau_ns"] for r in records if r["gate"] == gate)
+        assert taus == sweeps.FIG1_DURATIONS_NS
+
+
 def test_negative_points_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fig1", "--points", "-3", "-o", str(tmp_path / "x.csv")])
@@ -330,7 +353,8 @@ def test_unrepresentable_duration_exits_2(tau_ns, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--tau-ns", tau_ns, "-o", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert f"duration {float(tau_ns) * 1e-9!r} s is not representable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"duration {float(tau_ns) * 1e-9!r} s is not representable: its amplitude" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -353,7 +377,8 @@ def test_overflowing_step_weight_exits_2(kind, mode, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args + ["-o", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert f"duration {1e-150 * 1e-9!r} s is not representable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"duration {1e-150 * 1e-9!r} s is not representable: its amplitude" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -154,11 +154,25 @@ def test_unknown_kind_is_refused_where_an_envelope_is_built():
         (("gaussian", 40 * NS, 0.0, 1.0), "fwhm_fraction must be positive, got 0.0"),
         (("square", -40 * NS, None, 1.0), "pulse duration must be positive and finite"),
         (("sin2", math.nan, None, 1.0), "pulse duration must be positive and finite"),
+        # the amplitude's 4 A^2 must be finite, and a Gaussian's 2 sigma^2 positive and finite
+        (("square", 40 * NS, None, math.nan), "its amplitude is out of floating-point range"),
+        (("sech", 40 * NS, 5.3, math.inf), "its amplitude is out of floating-point range"),
+        (("sin2", 40 * NS, None, -math.inf), "its amplitude is out of floating-point range"),
+        (("gaussian", 40 * NS, 0.25, 1e200), "its amplitude is out of floating-point range"),
+        (("gaussian", 40 * NS, 1e300, 1.0), "fwhm_fraction = 1e+300 of the duration"),
+        (("gaussian", 1e-300, 0.25, 1.0), "fwhm_fraction = 0.25 of the duration"),
     ],
 )
 def test_bad_duration_or_width_is_refused_where_an_envelope_is_built(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Envelope(*args)
+
+
+def test_an_overflowing_gaussian_names_its_width_before_its_amplitude():
+    # here both 4 A^2 and 2 sigma^2 overflow; where sigma underflows, the amplitude is named
+    width = 1.79e308
+    with pytest.raises(ValueError, match=re.escape(f"fwhm_fraction = {width!r} of the duration")):
+        envelope("gaussian", 2e-154, fwhm_fraction=width)
 
 
 def test_not_gate_ratio_is_one():
