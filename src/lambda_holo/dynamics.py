@@ -24,17 +24,15 @@ A full-mode propagator is built in chunks of at most CHUNK_STEPS steps. A first
 pass samples the envelope at every node and refuses the pulse if the two-node
 Gauss-Legendre area misses the exact one, before any step is built. Then one
 weights stage, _coupling_weights, turns each chunk's node samples into its
-factor weights, as (factor, tone, step), _step_unitaries writes the chunk's
-step unitaries into one workspace per thread, time_ordered_product multiplies
-them there in pairwise levels (an unrolled 3x3 product on long levels, one
-np.einsum call on shorter ones, np.matmul on the last few), and each later
-chunk's product multiplies the result so far. The workspace holds the step
-stack and one scratch area that the factor weights, the step kernel's
-temporaries and the product's levels share (480 B per step), and is kept
-across chunks and calls. Memory is therefore bounded by the chunk, not by the step count;
-MAX_STEPS bounds the time. Each node lies on a uniform grid
-t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
-come from one table of B + 2 ceil(m / B) complex exponentials per tone
+factor weights, _step_unitaries writes the chunk's step unitaries, and
+time_ordered_product multiplies them in pairwise levels (an unrolled 3x3
+product on long levels, one np.einsum call on shorter ones, np.matmul on the
+last few); each later chunk's product multiplies the result so far. The three
+stages share one workspace per thread, kept across chunks and calls, whose
+regions _Workspace lays out (480 B per step): memory is bounded by the chunk,
+not by the step count, and MAX_STEPS bounds the time. Each node lies on a
+uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of
+m steps come from one table of B + 2 ceil(m / B) complex exponentials per tone
 (B = _PHASE_BLOCK), at one complex multiply per node.
 """
 
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +87,6 @@ MAX_STEPS = 5_000_000
 # (TRANSMON Gaussian NOT at 40 and 100 ns, 2-core VM, numpy 2.4.6), chunks of 4,096 steps
 # were 11-26% slower, 2,048 steps 31-55% and 1,024 steps 65-105%.
 CHUNK_STEPS = 8192
-
-# Complex numbers of workspace scratch per step. The step kernel's temporaries take 21: u
-# and conj(u) of both factors 8, their c - 1, s and c 3, the coefficients 4 (before them the
-# weights, after them (c_a - 1) u_a u_a^dagger) and 6 for |w|^2, the outer product of the
-# (c - 1, s, c) and the stacked e column and row. The product's levels and row take 9 + 1.5.
-_SCRATCH_PER_STEP = 21
 
 # Block length B of the carrier-phase table: exp(-2i f (t0 + k h)) for k = q B + r is
 # outer[q] * inner[r], with outer[q] = exp(-2i f (t0 + q B h)) and inner[r] = exp(-2i f r h).
@@ -208,22 +201,41 @@ def num_steps(
     return n
 
 
-class _Workspace:
-    """Room for `size` step unitaries, and the scratch that the step kernel and the product share.
+_Chunk = namedtuple("_Chunk", "unitaries uc reals coef work")
 
-    _step_unitaries takes the scratch for its per-factor and per-step
-    temporaries, and time_ordered_product then takes its level buffers (levels
-    and row) from the same memory.
+
+class _Workspace:
+    """Room for a chunk of up to `size` steps, and the one description of its layout.
+
+    Per step it holds 9 complex numbers of step unitaries and 21 of scratch,
+    which chunk(m) hands out for m steps as uc, u and conj(u) of both factors
+    (8); reals, their c - 1, s and c (3); coef, the coefficients, which first
+    hold the CF4 factor weights (4); and work, the step kernel's temporaries
+    (6). Over the same memory, level_buffers() hands out the product's two
+    level buffers and spare row (10.5 per step of `size`): 480 B per step.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.unitaries = np.empty((DIM, DIM, size), dtype=complex)
-        self.scratch = np.empty(_SCRATCH_PER_STEP * size, dtype=complex)
-        half = (size + 1) // 2
-        n_levels = 2 * DIM * DIM * half
-        self.levels = self.scratch[:n_levels].reshape(2, DIM, DIM, half)
-        self.row = self.scratch[n_levels : n_levels + DIM * half].reshape(DIM, half)
+        self.scratch = np.empty(21 * size, dtype=complex)
+
+    def chunk(self, m: int) -> _Chunk:
+        """The step stack and the step kernel's regions of m <= size steps, in memory order."""
+        buf = self.scratch
+        return _Chunk(
+            self.unitaries[:, :, :m],
+            buf[: 8 * m].reshape(4, 2, m),
+            buf[8 * m : 11 * m].view(float).reshape(3, 2, m),
+            buf[11 * m : 15 * m].reshape(2, 2, m),
+            buf[15 * m : 21 * m],
+        )
+
+    def level_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The product's two (3, 3, ceil(size / 2)) level buffers and its spare (3, .) row."""
+        half = (self.size + 1) // 2
+        levels = self.scratch[: 18 * half].reshape(2, DIM, DIM, half)
+        return levels, self.scratch[18 * half : 21 * half].reshape(DIM, half)
 
 
 _local = threading.local()
@@ -254,8 +266,7 @@ def _coupling_weights(
     weights w_j = c_j a (1 + exp(-2i f_j t)) into A1 w- + A2 w+ and
     A2 w- + A1 w+ (np.matmul is faster but leaves a BLAS buffer resident).
     The phases come from the _PHASE_BLOCK table, to within a few ulp of the
-    largest |2 f t|. The weights land in the coefficient area of this thread's
-    workspace scratch, which _step_unitaries overwrites only after reading them.
+    largest |2 f t|. The weights land in the coef region of this thread's _Workspace.
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
@@ -269,12 +280,12 @@ def _coupling_weights(
     w = (outer[..., None] * inner[:, None, :]).reshape(2, 2, -1)[:, :, :m]
     w += c
     w *= a[:, None]
-    out = _workspace(m).scratch[11 * m : 15 * m].view(float).reshape(2, 2, 2 * m)
-    np.einsum("fn,ntx->tfx", _CF4_WEIGHTS, w.view(float), out=out)
-    return out.view(complex).transpose(1, 0, 2)
+    coef = _workspace(m).chunk(m).coef
+    np.einsum("fn,ntx->tfx", _CF4_WEIGHTS, w.view(float), out=coef.view(float))
+    return coef.transpose(1, 0, 2)
 
 
-def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
+def _step_unitaries(w: np.ndarray, h: float) -> np.ndarray:
     """The CF4 step unitaries S_k = F2_k F1_k of m steps, in closed form, from (2, 2, m) weights.
 
     w[0] and w[1] hold the tone weights (w0, w1) of the factors F1 and F2 of
@@ -294,21 +305,12 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
         corner        c_a c_b - s_a s_b g
 
     It matches the product of the two factors' exponentials (np.linalg.eigh in
-    the tests' oracles) to rounding, but vectorizes over all steps. The
-    entries are written into a (3, 3, m) component array (out, when it is
-    given) and returned as its (m, 3, 3) view, the layout time_ordered_product
-    multiplies without copying. The temporaries live in this thread's
-    workspace scratch, which time_ordered_product reuses afterwards.
+    the tests' oracles) to rounding, but vectorizes over all steps. It returns
+    the unitaries of this thread's _Workspace as an (m, 3, 3) view, which the
+    next build overwrites, in the layout time_ordered_product multiplies.
     """
     m = w.shape[2]
-    s = np.empty((DIM, DIM, m), dtype=complex) if out is None else out
-    buf = _workspace(m).scratch
-    # _SCRATCH_PER_STEP m complex numbers: u_a, u_b, conj(u_a), conj(u_b) as (tone, step),
-    # then c - 1, s and c of both factors, the coefficients (w until read), 6 m of temporaries
-    uc = buf[: 8 * m].reshape(4, 2, m)
-    reals = buf[8 * m : 11 * m].view(float).reshape(3, 2, m)
-    coef = buf[11 * m : 15 * m].reshape(2, 2, m)
-    work = buf[15 * m : 21 * m]
+    s, uc, reals, coef, work = _workspace(m).chunk(m)  # coef holds w until it is read
     ua, ub, cua, cub = uc
     cm1, sin, cos = reals
     r = cm1  # r, then the angle r h, until c - 1 is formed
@@ -367,27 +369,27 @@ def _step_unitaries(w: np.ndarray, h: float, out=None) -> np.ndarray:
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level multiplies adjacent pairs on (3, 3, m) component arrays in
-    this thread's workspace scratch; a stack from _step_unitaries is already
-    laid out that way. A level of at least _EINSUM_BELOW matrices uses a 3x3
-    product unrolled over the inner index, so every operation is a long
+    Each level multiplies adjacent pairs on (3, 3, m) component arrays in the
+    level buffers of this thread's _Workspace; a stack from _step_unitaries is
+    already laid out that way. A level of at least _EINSUM_BELOW matrices uses
+    a 3x3 product unrolled over the inner index, so every operation is a long
     vectorized loop; a shorter one down to _MATMUL_BELOW matrices is one
     np.einsum call, and the last few levels go to np.matmul. A stack of more
     than CHUNK_STEPS matrices gets level buffers that are not kept. An odd
     last matrix carries to the next level.
     """
     p = unitaries.transpose(1, 2, 0)
-    ws = _workspace(p.shape[2])
+    levels, spare = _workspace(p.shape[2]).level_buffers()
     level = 0
     while p.shape[2] >= _MATMUL_BELOW:
         m = p.shape[2]
         k = m // 2
         later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
-        q = ws.levels[level % 2, :, :, : k + m % 2]
+        q = levels[level % 2, :, :, : k + m % 2]
         if m < _EINSUM_BELOW:
             np.einsum("ijk,jlk->ilk", later, earlier, out=q[:, :, :k])
         else:
-            tmp = ws.row[:, :k]
+            tmp = spare[:, :k]
             for i in range(DIM):
                 row = q[i, :, :k]  # row i of every pair product, all columns at once
                 np.multiply(later[i, 0], earlier[0], out=row)
@@ -458,7 +460,6 @@ def propagator(
         tau = drive.envelope.tau
         n = num_steps(sys, tau, cfg, drive.envelope.time_scale)
         h = tau / n
-        ws = _workspace(min(n, CHUNK_STEPS))
         chunks = [(first, min(CHUNK_STEPS, n - first)) for first in range(0, n, CHUNK_STEPS)]
         # the area check comes before any step is built; a one-chunk pulse keeps its samples
         sampled = 0.0
@@ -476,8 +477,7 @@ def propagator(
                 a = _node_envelope(drive, first, m, h)
             t0 = pulse_start + (first + _CF4_NODES) * h
             w = _coupling_weights(sys, drive, t0, h, a)
-            steps = _step_unitaries(w, h, out=ws.unitaries[:, :, :m])
-            product = time_ordered_product(steps)
+            product = time_ordered_product(_step_unitaries(w, h))
             u = product if first == 0 else product @ u
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:

@@ -555,9 +555,9 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
         weights.append(coupling_weights(*args))
         return weights[-1]
 
-    def traced_steps(w, h, out=None):
+    def traced_steps(w, h):
         rows.append(w)
-        return step_unitaries(w, h, out=out)
+        return step_unitaries(w, h)
 
     monkeypatch.setattr(dynamics, "_coupling_weights", traced_weights)
     monkeypatch.setattr(dynamics, "_step_unitaries", traced_steps)
