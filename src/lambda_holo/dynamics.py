@@ -20,20 +20,20 @@ rounding, with a discretization error that falls 16x per halving of h. A step
 costs two exponentials; at the default 8 steps per counter-rotating period a
 40 ns transmon pulse (5,176 steps) needs 16 exponentials per period.
 
-A full-mode propagator is built in chunks of at most CHUNK_STEPS steps. A first
-pass samples the envelope at every node and refuses the pulse if the two-node
-Gauss-Legendre area misses the exact one, before any step is built. Then one
-weights stage, _coupling_weights, turns each chunk's node samples into its
-factor weights, _step_unitaries writes the chunk's step unitaries, and
-time_ordered_product multiplies them in pairwise levels (an unrolled 3x3
+A full-mode propagator is built in chunks of at most CHUNK_STEPS steps, in this
+thread's workspace, which it reads once per build. A first pass samples the
+envelope at every node and refuses the pulse if the two-node Gauss-Legendre area
+misses the exact one, before any step is built. Then the propagator lays out
+each chunk's regions once (_Workspace, 480 B per step): the weights stage,
+_coupling_weights, writes the chunk's factor weights into its coef region,
+_step_unitaries writes its step unitaries, and time_ordered_product, which reads
+the workspace itself, multiplies them in pairwise levels (an unrolled 3x3
 product on long levels, one np.einsum call on shorter ones, np.matmul on the
-last few); each later chunk's product multiplies the result so far. The three
-stages share one workspace per thread, kept across chunks and calls, whose
-regions _Workspace lays out (480 B per step): memory is bounded by the chunk,
-not by the step count, and MAX_STEPS bounds the time. Each node lies on a
-uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of
-m steps come from one table of B + 2 ceil(m / B) complex exponentials per tone
-(B = _PHASE_BLOCK), at one complex multiply per node.
+last few); each later chunk's product multiplies the result so far. Memory is
+bounded by the chunk, not by the step count, and MAX_STEPS bounds the time. Each
+node lies on a uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k)
+of a chunk of m steps come from one table of B + 2 ceil(m / B) complex
+exponentials per tone (B = _PHASE_BLOCK), at one complex multiply per node.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def num_steps(
     return n
 
 
-_Chunk = namedtuple("_Chunk", "unitaries uc reals coef work")
+_Chunk = namedtuple("_Chunk", "unitaries uc reals coef work levels spare")
 
 
 class _Workspace:
@@ -211,8 +211,8 @@ class _Workspace:
     which chunk(m) hands out for m steps as uc, u and conj(u) of both factors
     (8); reals, their c - 1, s and c (3); coef, the coefficients, which first
     hold the CF4 factor weights (4); and work, the step kernel's temporaries
-    (6). Over the same memory, level_buffers() hands out the product's two
-    level buffers and spare row (10.5 per step of `size`): 480 B per step.
+    (6). Over the same scratch it hands out levels and spare, the product's two
+    (3, 3, ceil(m / 2)) level buffers and its spare row (10.5): 480 B per step.
     """
 
     def __init__(self, size: int):
@@ -221,21 +221,18 @@ class _Workspace:
         self.scratch = np.empty(21 * size, dtype=complex)
 
     def chunk(self, m: int) -> _Chunk:
-        """The step stack and the step kernel's regions of m <= size steps, in memory order."""
+        """The regions of m <= size steps: the step kernel's in memory order, then the product's."""
         buf = self.scratch
+        half = (m + 1) // 2
         return _Chunk(
             self.unitaries[:, :, :m],
             buf[: 8 * m].reshape(4, 2, m),
             buf[8 * m : 11 * m].view(float).reshape(3, 2, m),
             buf[11 * m : 15 * m].reshape(2, 2, m),
             buf[15 * m : 21 * m],
+            buf[: 18 * half].reshape(2, DIM, DIM, half),
+            buf[18 * half : 21 * half].reshape(DIM, half),
         )
-
-    def level_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The product's two (3, 3, ceil(size / 2)) level buffers and its spare (3, .) row."""
-        half = (self.size + 1) // 2
-        levels = self.scratch[: 18 * half].reshape(2, DIM, DIM, half)
-        return levels, self.scratch[18 * half : 21 * half].reshape(DIM, half)
 
 
 _local = threading.local()
@@ -245,7 +242,8 @@ def _workspace(size: int) -> _Workspace:
     """A workspace with room for `size` steps: this thread's kept one when it is large enough.
 
     A new workspace replaces the kept one only if it has room for at most
-    CHUNK_STEPS steps, so what a thread keeps stays bounded.
+    CHUNK_STEPS steps, so what a thread keeps stays bounded. Its callers are
+    propagator, once per full-mode build, and time_ordered_product.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
@@ -256,7 +254,7 @@ def _workspace(size: int) -> _Workspace:
 
 
 def _coupling_weights(
-    sys: LambdaSystem, drive: DriveSpec, t0: np.ndarray, h: float, a: np.ndarray
+    sys: LambdaSystem, drive: DriveSpec, t0: np.ndarray, h: float, a: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
     """The full-mode CF4 factor weights of m steps, as (factor, tone, step), from node samples.
 
@@ -266,7 +264,7 @@ def _coupling_weights(
     weights w_j = c_j a (1 + exp(-2i f_j t)) into A1 w- + A2 w+ and
     A2 w- + A1 w+ (np.matmul is faster but leaves a BLAS buffer resident).
     The phases come from the _PHASE_BLOCK table, to within a few ulp of the
-    largest |2 f t|. The weights land in the coef region of this thread's _Workspace.
+    largest |2 f t|. The weights land in coef, a chunk's (2, 2, m) coef region.
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
@@ -280,12 +278,11 @@ def _coupling_weights(
     w = (outer[..., None] * inner[:, None, :]).reshape(2, 2, -1)[:, :, :m]
     w += c
     w *= a[:, None]
-    coef = _workspace(m).chunk(m).coef
     np.einsum("fn,ntx->tfx", _CF4_WEIGHTS, w.view(float), out=coef.view(float))
     return coef.transpose(1, 0, 2)
 
 
-def _step_unitaries(w: np.ndarray, h: float) -> np.ndarray:
+def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     """The CF4 step unitaries S_k = F2_k F1_k of m steps, in closed form, from (2, 2, m) weights.
 
     w[0] and w[1] hold the tone weights (w0, w1) of the factors F1 and F2 of
@@ -305,12 +302,12 @@ def _step_unitaries(w: np.ndarray, h: float) -> np.ndarray:
         corner        c_a c_b - s_a s_b g
 
     It matches the product of the two factors' exponentials (np.linalg.eigh in
-    the tests' oracles) to rounding, but vectorizes over all steps. It returns
-    the unitaries of this thread's _Workspace as an (m, 3, 3) view, which the
-    next build overwrites, in the layout time_ordered_product multiplies.
+    the tests' oracles) to rounding, but vectorizes over all steps. It works in
+    chunk, an m-step _Chunk whose coef w may occupy, and returns its unitaries
+    as an (m, 3, 3) view, in the layout time_ordered_product multiplies.
     """
     m = w.shape[2]
-    s, uc, reals, coef, work = _workspace(m).chunk(m)  # coef holds w until it is read
+    s, uc, reals, coef, work, *_ = chunk
     ua, ub, cua, cub = uc
     cm1, sin, cos = reals
     r = cm1  # r, then the angle r h, until c - 1 is formed
@@ -370,16 +367,16 @@ def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
     Each level multiplies adjacent pairs on (3, 3, m) component arrays in the
-    level buffers of this thread's _Workspace; a stack from _step_unitaries is
-    already laid out that way. A level of at least _EINSUM_BELOW matrices uses
-    a 3x3 product unrolled over the inner index, so every operation is a long
-    vectorized loop; a shorter one down to _MATMUL_BELOW matrices is one
-    np.einsum call, and the last few levels go to np.matmul. A stack of more
-    than CHUNK_STEPS matrices gets level buffers that are not kept. An odd
-    last matrix carries to the next level.
+    level buffers of this thread's workspace, which the product reads itself;
+    a stack from _step_unitaries is already laid out that way. A level of at
+    least _EINSUM_BELOW matrices uses a 3x3 product unrolled over the inner
+    index, so every operation is a long vectorized loop; a shorter one down
+    to _MATMUL_BELOW matrices is one np.einsum call, and the last few levels
+    go to np.matmul. A stack of more than CHUNK_STEPS matrices gets level
+    buffers that are not kept. An odd last matrix carries to the next level.
     """
     p = unitaries.transpose(1, 2, 0)
-    levels, spare = _workspace(p.shape[2]).level_buffers()
+    *_, levels, spare = _workspace(p.shape[2]).chunk(p.shape[2])
     level = 0
     while p.shape[2] >= _MATMUL_BELOW:
         m = p.shape[2]
@@ -459,12 +456,13 @@ def propagator(
     else:
         tau = drive.envelope.tau
         n = num_steps(sys, tau, cfg, drive.envelope.time_scale)
+        ws = _workspace(min(n, CHUNK_STEPS))
         h = tau / n
         chunks = [(first, min(CHUNK_STEPS, n - first)) for first in range(0, n, CHUNK_STEPS)]
         # the area check comes before any step is built; a one-chunk pulse keeps its samples
         sampled = 0.0
-        for chunk in chunks:
-            a = _node_envelope(drive, *chunk, h)
+        for first, m in chunks:
+            a = _node_envelope(drive, first, m, h)
             sampled += float(a.sum())
         sampled, area = 0.5 * h * sampled, drive.envelope.area
         if not abs(sampled - area) <= PULSE_AREA_TOL * abs(area):
@@ -476,8 +474,9 @@ def propagator(
             if len(chunks) > 1:
                 a = _node_envelope(drive, first, m, h)
             t0 = pulse_start + (first + _CF4_NODES) * h
-            w = _coupling_weights(sys, drive, t0, h, a)
-            product = time_ordered_product(_step_unitaries(w, h))
+            chunk = ws.chunk(m)
+            w = _coupling_weights(sys, drive, t0, h, a, chunk.coef)
+            product = time_ordered_product(_step_unitaries(w, h, chunk))
             u = product if first == 0 else product @ u
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:

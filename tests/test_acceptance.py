@@ -393,15 +393,25 @@ def test_criterion_8_deterministic_output(tmp_path):
     assert ok
 
 
-# The breakdown law of the smooth envelopes: on TRANSMON, for the NOT gate with F averaged
-# over AVERAGE_INPUT_LABELS at the default resolution, 1 - F = C_kind / tau^2 (tau in ns).
-# Measured (1 - F) tau^2 at 16, 32 and 64 ns, which spreads by at most 0.14% per kind.
-BREAKDOWN_LAW_NS2 = {"gaussian": 5.19e-3, "sech": 3.86e-3, "parabola": 9.09e-4, "sin2": 1.54e-3}
+# The breakdown law of the smooth envelopes: on TRANSMON, with F averaged over
+# AVERAGE_INPUT_LABELS at the default resolution, 1 - F = C_kind / tau^2 (tau in ns), with one
+# C_kind per gate. Measured (1 - F) tau^2 at 16, 32 and 64 ns, which spreads by at most 0.14%
+# per kind for NOT and 0.24% for Hadamard. Hadamard sech is left out: it spreads by 0.9%, with
+# f/2 ratios 3.96-4.03, because its truncated tails add window-edge kicks.
+BREAKDOWN_LAW_NS2 = {
+    (NOT_GATE, "gaussian"): 5.19e-3,
+    (NOT_GATE, "sech"): 3.86e-3,
+    (NOT_GATE, "parabola"): 9.09e-4,
+    (NOT_GATE, "sin2"): 1.54e-3,
+    (HADAMARD_GATE, "gaussian"): 2.39e-3,
+    (HADAMARD_GATE, "parabola"): 3.754e-4,
+    (HADAMARD_GATE, "sin2"): 6.755e-4,
+}
 
 
-def _average_infidelity(sys: LambdaSystem, kind: str, tau_ns: float) -> float:
-    drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope(kind, tau_ns * NS))
-    u, uid = propagator(sys, drive, PropagationConfig()), ideal_gate(NOT_GATE)
+def _average_infidelity(sys: LambdaSystem, gate: GateSpec, kind: str, tau_ns: float) -> float:
+    drive = DriveSpec.for_angles(gate.theta, gate.phi, envelope(kind, tau_ns * NS))
+    u, uid = propagator(sys, drive, PropagationConfig()), ideal_gate(gate)
     outcomes = [unitary_outcome(u, uid, INPUT_STATES[label]) for label in AVERAGE_INPUT_LABELS]
     return 1.0 - float(np.mean([o.fidelity for o in outcomes]))
 
@@ -409,17 +419,17 @@ def _average_infidelity(sys: LambdaSystem, kind: str, tau_ns: float) -> float:
 def test_criterion_9_breakdown_law():
     # 1 - F = C_kind / (f tau)^2: (1 - F) tau^2 agrees within 1% across tau and with C_kind,
     # and halving both transition frequencies multiplies 1 - F by 4 within 1% (measured
-    # 3.994-4.001). The ratio is checked at 32 and 64 ns only: at 16 ns the law is not yet
+    # 3.992-4.001). The ratio is checked at 32 and 64 ns only: at 16 ns the law is not yet
     # asymptotic in f (the Gaussian gives 4.29, sech 4.13)
     half = LambdaSystem(TRANSMON.fe0 / 2, TRANSMON.fe1 / 2)
     worst_c, worst_spread, worst_ratio = 0.0, 0.0, 0.0
-    for kind, c in BREAKDOWN_LAW_NS2.items():
+    for (gate, kind), c in BREAKDOWN_LAW_NS2.items():
         scaled = []
         for tau in (16.0, 32.0, 64.0):
-            infidelity = _average_infidelity(TRANSMON, kind, tau)
+            infidelity = _average_infidelity(TRANSMON, gate, kind, tau)
             scaled.append(infidelity * tau**2)
             if tau > 16.0:
-                ratio = _average_infidelity(half, kind, tau) / infidelity
+                ratio = _average_infidelity(half, gate, kind, tau) / infidelity
                 worst_ratio = max(worst_ratio, abs(ratio / 4.0 - 1.0))
         worst_c = max(worst_c, max(abs(x / c - 1.0) for x in scaled))
         worst_spread = max(worst_spread, max(scaled) / min(scaled) - 1.0)

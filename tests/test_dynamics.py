@@ -1,6 +1,8 @@
+import inspect
 import math
 import threading
 import warnings
+from collections import Counter
 from dataclasses import replace
 from sys import getswitchinterval, setswitchinterval
 
@@ -55,6 +57,11 @@ RNG = np.random.default_rng(8271)
 
 def gaussian_drive(tau_ns=40.0, gate=NOT_GATE):
     return DriveSpec.for_angles(gate.theta, gate.phi, envelope("gaussian", tau_ns * NS))
+
+
+def fresh_chunk(m):
+    """The regions of m steps in a new workspace, for calling the stages directly."""
+    return dynamics._Workspace(m).chunk(m)
 
 
 def fidelity(sys, gate, drive, psi0, cfg):
@@ -251,7 +258,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
     a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
     starts = t0 + np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6]) * h
     a = drive.envelope.amplitude * RNG.uniform(0.5, 1.0, (2, n))
-    out = _coupling_weights(TRANSMON, drive, starts, h, a)
+    out = _coupling_weights(TRANSMON, drive, starts, h, a, fresh_chunk(n).coef)
     assert out.shape == (2, 2, n)
     for j, (f, c) in enumerate(zip((TRANSMON.fe0, TRANSMON.fe1), (drive.c0, drive.c1))):
         w_minus, w_plus = (
@@ -267,7 +274,7 @@ def test_phase_table_matches_per_step_phases(n, t0):
         assert np.abs(out[1, j] - (a2 * w_minus + a1 * w_plus)).max() <= tol
     # at f = 0 the factor is exactly 1 + 1; with no envelope at t+, a step's F1 weighs A1 w-
     a[1] = 0.0
-    out = _coupling_weights(LambdaSystem(0.0, 0.0), drive, starts, h, a)
+    out = _coupling_weights(LambdaSystem(0.0, 0.0), drive, starts, h, a, fresh_chunk(n).coef)
     for j, c in enumerate((drive.c0, drive.c1)):
         assert np.array_equal(out[0, j], a1 * (2 * c * a[0]))
 
@@ -297,7 +304,7 @@ def test_step_unitaries_match_eigendecomposition_route():
     w = random_weights(n)
     w[0, :, 0] = w[1, :, 1] = w[:, :, 2] = 0.0
     w[0, 0, 3] = w[1, 1, 4] = 0.0
-    batch = _step_unitaries(w, h)
+    batch = _step_unitaries(w, h, fresh_chunk(n))
     assert batch.shape == (n, 3, 3)
     for k in range(n):
         f1, f2 = (expm_unitary(coupling(*w[j, :, k]), h) for j in (0, 1))
@@ -329,7 +336,7 @@ def test_rotation_matches_a_step_whose_second_factor_is_idle():
     limits = [DriveSpec.for_angles(theta, 0.7, env) for theta in (0.0, math.pi)]
     cases += [(drive.c0, drive.c1, math.pi) for drive in limits]
     for c0, c1, area in cases:
-        batch = _step_unitaries(np.array([[[c0], [c1]], [[0.0], [0.0]]]), area)
+        batch = _step_unitaries(np.array([[[c0], [c1]], [[0.0], [0.0]]]), area, fresh_chunk(1))
         assert np.abs(_rotation(c0, c1, area) - batch[0]).max() <= 1e-14, (c0, c1, area)
 
 
@@ -339,15 +346,17 @@ def test_idle_step_reads_no_stale_scratch():
     w = np.zeros((2, 2, 3), dtype=complex)
     w[0, :, 1] = 1.0 + 2.0j, -0.5j
     w[1, 1, 1] = 3.0
-    dynamics._workspace(3).scratch.fill(np.nan)
-    batch = _step_unitaries(w, 0.3)
+    ws = dynamics._workspace(3)
+    ws.scratch.fill(np.nan)
+    batch = _step_unitaries(w, 0.3, ws.chunk(3))
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
     for n in (_MATMUL_BELOW + 1, 1001):
         w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
-        dynamics._workspace(n).scratch.fill(np.nan)
-        us = _step_unitaries(w, 0.7)
+        ws = dynamics._workspace(n)
+        ws.scratch.fill(np.nan)
+        us = _step_unitaries(w, 0.7, ws.chunk(n))
         dynamics._workspace(n).scratch.fill(np.nan)
         sequential = np.eye(3, dtype=complex)
         for u in us:
@@ -363,7 +372,8 @@ def test_idle_step_reads_no_stale_scratch():
 def test_time_ordered_product_matches_sequential_loop(n):
     # odd counts leave a carried step at one or more levels of the reduction; levels
     # below _EINSUM_BELOW matrices are one np.einsum call and below _MATMUL_BELOW np.matmul
-    us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n)), 0.7)
+    w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
+    us = _step_unitaries(w, 0.7, fresh_chunk(n))
     sequential = np.eye(3, dtype=complex)
     for u in us:
         sequential = u @ sequential
@@ -387,8 +397,9 @@ def cf4_stack(sys, drive, n, start):
     h = drive.envelope.tau / n
     nodes = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
     a = np.array([drive.envelope.evaluate((np.arange(n) + x) * h) for x in nodes])
-    w = _coupling_weights(sys, drive, start + nodes * h, h, a)
-    return _step_unitaries(w, h)
+    regions = fresh_chunk(n)
+    w = _coupling_weights(sys, drive, start + nodes * h, h, a, regions.coef)
+    return _step_unitaries(w, h, regions)
 
 
 @pytest.mark.parametrize(
@@ -462,7 +473,7 @@ def test_kept_workspace_is_bounded():
     # a stack longer than a chunk is built and multiplied in a workspace the thread does
     # not keep; the kept one holds a chunk's steps and their scratch, 480 B per step
     n = 2 * CHUNK_STEPS + 1
-    us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7)
+    us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7, fresh_chunk(n))
     time_ordered_product(us)
     drive = DriveSpec.for_angles(NOT_GATE.theta, NOT_GATE.phi, envelope("gaussian", 100 * NS))
     propagator(TRANSMON, drive, PropagationConfig())  # 12,938 steps in 2 chunks
@@ -555,9 +566,9 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
         weights.append(coupling_weights(*args))
         return weights[-1]
 
-    def traced_steps(w, h):
+    def traced_steps(w, h, chunk):
         rows.append(w)
-        return step_unitaries(w, h)
+        return step_unitaries(w, h, chunk)
 
     monkeypatch.setattr(dynamics, "_coupling_weights", traced_weights)
     monkeypatch.setattr(dynamics, "_step_unitaries", traced_steps)
@@ -568,6 +579,27 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
     assert len(weights) == len(rows) == chunks
     for w, row in zip(weights, rows):
         assert row is w
+
+
+@pytest.mark.parametrize("tau_ns,chunks", [(40.0, 1), (100.0, 2)])
+def test_propagator_owns_the_workspace(tau_ns, chunks, monkeypatch):
+    # a full-mode build reads this thread's workspace once and hands the weights and step
+    # stages their regions; only the product, which takes the stack alone, reads it again
+    callers = []
+    workspace = dynamics._workspace
+
+    def counted(size):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return workspace(size)
+
+    monkeypatch.setattr(dynamics, "_workspace", counted)
+    drive = gaussian_drive(tau_ns)
+    assert -(-num_steps(TRANSMON, drive.envelope.tau, PropagationConfig()) // CHUNK_STEPS) == chunks
+    propagator(TRANSMON, drive, PropagationConfig())
+    assert Counter(callers) == {"propagator": 1, "time_ordered_product": chunks}
+    callers.clear()
+    propagator(TRANSMON, drive, PropagationConfig(mode="rwa"))
+    assert callers == []
 
 
 @pytest.mark.parametrize(
@@ -639,7 +671,7 @@ def _midpoint_rwa_product(drive, n, pulse_start):
     t_mid = pulse_start + (np.arange(n) + 0.5) * h
     a = drive.envelope.evaluate(t_mid - pulse_start)
     factors = a.reshape(-1, 2).T[:, None]  # (factor, 1, step)
-    steps = _step_unitaries(factors * np.array([[drive.c0], [drive.c1]]), h)
+    steps = _step_unitaries(factors * np.array([[drive.c0], [drive.c1]]), h, fresh_chunk(n // 2))
     return time_ordered_product(steps), h * a.sum()
 
 
