@@ -27,9 +27,10 @@ misses the exact one, before any step is built. Then the propagator lays out
 each chunk's regions once (_Workspace, 480 B per step): the weights stage,
 _coupling_weights, writes the chunk's factor weights into its coef region,
 _step_unitaries writes its step unitaries, and time_ordered_product, which reads
-the workspace itself, multiplies them in pairwise levels (an unrolled 3x3
-product on long levels, one np.einsum call on shorter ones, np.matmul on the
-last few); each later chunk's product multiplies the result so far. Memory is
+the workspace itself, multiplies them in pairwise levels; each later chunk's
+product multiplies the result so far. Every one of these 3x3 products rounds
+each entry as the same three-term sum of numpy ufuncs (_pair_products): no BLAS
+call enters, and a level's length picks only the faster spelling. Memory is
 bounded by the chunk, not by the step count, and MAX_STEPS bounds the time. Each
 node lies on a uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k)
 of a chunk of m steps come from one table of B + 2 ceil(m / B) complex
@@ -93,10 +94,9 @@ CHUNK_STEPS = 8192
 _PHASE_BLOCK = 128
 _BLOCK_RANGE = np.arange(_PHASE_BLOCK)
 
-# Pairwise-product levels of fewer matrices than _EINSUM_BELOW are one np.einsum call, where
-# the unrolled kernel's fixed cost dominates, and below _MATMUL_BELOW np.matmul is faster.
-_EINSUM_BELOW = 512
-_MATMUL_BELOW = 32
+# Pair products of fewer than _BROADCAST_BELOW pairs are one broadcast multiply and one sum,
+# where the unrolled kernel's fixed cost dominates; both round alike, so this sets speed only.
+_BROADCAST_BELOW = 512
 
 # CF4: the nodes of step k sit at (k + _CF4_NODES) h, and its factors weigh the node
 # Hamiltonians (H-, H+) by (A1, A2), then by (A2, A1).
@@ -363,47 +363,47 @@ def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     return s.transpose(2, 0, 1)
 
 
+def _pair_products(later: np.ndarray, earlier: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """The k products L E of two (3, 3, k) component arrays, in one rounding order.
+
+    Each entry is (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l], in numpy
+    ufuncs alone. Below _BROADCAST_BELOW pairs that is one broadcast multiply
+    into a (3, 3, 3, k) temporary and one sum over its axis j, into out or a
+    new array; longer ones are unrolled over j into out, with tmp a (3, k) row
+    of scratch. The two spellings round alike, bit for bit.
+    """
+    if later.shape[2] < _BROADCAST_BELOW:
+        return np.add.reduce(np.multiply(later[:, :, None], earlier[None]), axis=1, out=out)
+    for i in range(DIM):
+        row = out[i]  # row i of every pair product, all columns at once
+        np.multiply(later[i, 0], earlier[0], out=row)
+        np.multiply(later[i, 1], earlier[1], out=tmp)
+        row += tmp
+        np.multiply(later[i, 2], earlier[2], out=tmp)
+        row += tmp
+    return out
+
+
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level multiplies adjacent pairs on (3, 3, m) component arrays in the
-    level buffers of this thread's workspace, which the product reads itself;
-    a stack from _step_unitaries is already laid out that way. A level of at
-    least _EINSUM_BELOW matrices uses a 3x3 product unrolled over the inner
-    index, so every operation is a long vectorized loop; a shorter one down
-    to _MATMUL_BELOW matrices is one np.einsum call, and the last few levels
-    go to np.matmul. A stack of more than CHUNK_STEPS matrices gets level
-    buffers that are not kept. An odd last matrix carries to the next level.
+    Each level multiplies adjacent pairs with _pair_products on (3, 3, m)
+    component arrays in the level buffers of this thread's workspace, which
+    the product reads itself; a stack from _step_unitaries is already laid out
+    that way. Every level rounds alike, whatever its length. An odd last
+    matrix carries to the next level. A stack of more than CHUNK_STEPS
+    matrices gets level buffers that are not kept.
     """
     p = unitaries.transpose(1, 2, 0)
     *_, levels, spare = _workspace(p.shape[2]).chunk(p.shape[2])
-    level = 0
-    while p.shape[2] >= _MATMUL_BELOW:
-        m = p.shape[2]
-        k = m // 2
-        later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
-        q = levels[level % 2, :, :, : k + m % 2]
-        if m < _EINSUM_BELOW:
-            np.einsum("ijk,jlk->ilk", later, earlier, out=q[:, :, :k])
-        else:
-            tmp = spare[:, :k]
-            for i in range(DIM):
-                row = q[i, :, :k]  # row i of every pair product, all columns at once
-                np.multiply(later[i, 0], earlier[0], out=row)
-                np.multiply(later[i, 1], earlier[1], out=tmp)
-                row += tmp
-                np.multiply(later[i, 2], earlier[2], out=tmp)
-                row += tmp
-        if m % 2:
-            q[:, :, k] = p[:, :, m - 1]
-        p = q
-        level += 1
-    stack = p.transpose(2, 0, 1)
-    while len(stack) > 1:
-        m = len(stack)
-        pairs = stack[1:m:2] @ stack[0 : m - 1 : 2]
-        stack = np.concatenate((pairs, stack[m - 1 :])) if m % 2 else pairs
-    return np.array(stack[0])
+    while p.shape[2] > 1:
+        k, odd = divmod(p.shape[2], 2)
+        q = levels[0, :, :, : k + odd]
+        _pair_products(p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2], q[:, :, :k], spare[:, :k])
+        if odd:
+            q[:, :, k] = p[:, :, 2 * k]
+        p, levels = q, levels[::-1]
+    return p[:, :, 0].copy()
 
 
 def _rotation(w0: complex, w1: complex, h: float) -> np.ndarray:
@@ -477,7 +477,7 @@ def propagator(
             chunk = ws.chunk(m)
             w = _coupling_weights(sys, drive, t0, h, a, chunk.coef)
             product = time_ordered_product(_step_unitaries(w, h, chunk))
-            u = product if first == 0 else product @ u
+            u = product if first == 0 else _pair_products(product[..., None], u[..., None])[..., 0]
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise NumericalContractError(

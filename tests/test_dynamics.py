@@ -19,8 +19,7 @@ from lambda_holo.dynamics import (
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
-    _EINSUM_BELOW,
-    _MATMUL_BELOW,
+    _BROADCAST_BELOW,
     _PHASE_BLOCK,
     _coupling_weights,
     _rotation,
@@ -352,7 +351,7 @@ def test_idle_step_reads_no_stale_scratch():
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
-    for n in (_MATMUL_BELOW + 1, 1001):
+    for n in (33, 1001):
         w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
         ws = dynamics._workspace(n)
         ws.scratch.fill(np.nan)
@@ -366,12 +365,14 @@ def test_idle_step_reads_no_stale_scratch():
 
 @pytest.mark.parametrize(
     "n",
-    [1, 2, 3, 5, 7, 64, 127, 128, 129, 1001]
-    + [threshold + d for threshold in (_MATMUL_BELOW, _EINSUM_BELOW) for d in (-1, 0, 1)],
+    sorted(
+        {1, 2, 3, 5, 7, 31, 32, 33, 64, 127, 128, 129, 511, 512, 513, 1001}
+        | {size + d for size in (_BROADCAST_BELOW, 2 * _BROADCAST_BELOW) for d in (-1, 0, 1)}
+    ),
 )
 def test_time_ordered_product_matches_sequential_loop(n):
-    # odd counts leave a carried step at one or more levels of the reduction; levels
-    # below _EINSUM_BELOW matrices are one np.einsum call and below _MATMUL_BELOW np.matmul
+    # odd counts leave a carried step at one or more levels of the reduction; levels of
+    # fewer than _BROADCAST_BELOW pairs are one broadcast multiply and one sum
     w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
     us = _step_unitaries(w, 0.7, fresh_chunk(n))
     sequential = np.eye(3, dtype=complex)
@@ -379,6 +380,53 @@ def test_time_ordered_product_matches_sequential_loop(n):
         sequential = u @ sequential
     for stack in (us, np.ascontiguousarray(us)):  # component view and plain (n, 3, 3) stack
         assert np.abs(time_ordered_product(stack) - sequential).max() < 1e-13
+
+
+def three_term_product(later, earlier):
+    """later @ earlier for two 3x3 matrices, each entry (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l]."""
+    return (later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]) + later[:, 2, None] * earlier[2]
+
+
+def pairwise_three_term(stack):
+    """U_{N-1} ... U_0 of a (N, 3, 3) stack: adjacent pairs by three_term_product, an odd last carried."""
+    level = list(stack)
+    while len(level) > 1:
+        pairs = [three_term_product(later, earlier) for earlier, later in zip(level[0::2], level[1::2])]
+        level = pairs + level[2 * len(pairs) :]
+    return level[0]
+
+
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 511, 512, 513, 1001, 8192}
+        | {size + d for size in (_BROADCAST_BELOW, 2 * _BROADCAST_BELOW) for d in (-1, 1)}
+    ),
+)
+def test_time_ordered_product_has_one_rounding_order(n):
+    # every level, short or long and in either spelling, rounds each entry as the same
+    # three-term sum, so the CPU's BLAS kernel cannot move a digit
+    w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
+    us = _step_unitaries(w, 0.7, fresh_chunk(n))
+    want = pairwise_three_term(np.array(us))
+    assert time_ordered_product(us).tobytes() == want.tobytes()
+
+
+def test_chunks_join_with_the_same_rounding(monkeypatch):
+    # a two-chunk propagator is the later chunk's product times the earlier one's, rounded
+    # like every level of the products themselves
+    products = []
+    product = dynamics.time_ordered_product
+
+    def recorded(unitaries):
+        products.append(product(unitaries))
+        assert products[-1].tobytes() == pairwise_three_term(np.array(unitaries)).tobytes()
+        return products[-1]
+
+    monkeypatch.setattr(dynamics, "time_ordered_product", recorded)
+    u = propagator(TRANSMON, gaussian_drive(100.0), PropagationConfig())
+    assert len(products) == 2
+    assert u.tobytes() == three_term_product(products[1], products[0]).tobytes()
 
 
 def system_for_steps(n, tau=40 * NS):
