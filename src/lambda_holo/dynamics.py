@@ -94,8 +94,7 @@ CHUNK_STEPS = 8192
 _PHASE_BLOCK = 128
 _BLOCK_RANGE = np.arange(_PHASE_BLOCK)
 
-# Pair products of fewer than _BROADCAST_BELOW pairs are one broadcast multiply and one sum,
-# where the unrolled kernel's fixed cost dominates; both round alike, so this sets speed only.
+# Below this many pairs _pair_products broadcasts, cheaper than unrolling; it sets speed only.
 _BROADCAST_BELOW = 512
 
 # CF4: the nodes of step k sit at (k + _CF4_NODES) h, and its factors weigh the node
@@ -363,17 +362,18 @@ def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     return s.transpose(2, 0, 1)
 
 
-def _pair_products(later: np.ndarray, earlier: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """The k products L E of two (3, 3, k) component arrays, in one rounding order.
+def _pair_products(
+    later: np.ndarray, earlier: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """The k products L E of two (3, 3, k) component arrays into out, in one rounding order.
 
-    Each entry is (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l], in numpy
-    ufuncs alone. Below _BROADCAST_BELOW pairs that is one broadcast multiply
-    into a (3, 3, 3, k) temporary and one sum over its axis j, into out or a
-    new array; longer ones are unrolled over j into out, with tmp a (3, k) row
-    of scratch. The two spellings round alike, bit for bit.
+    Each entry is (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l], both additions written
+    out in numpy ufuncs: below _BROADCAST_BELOW pairs on the terms of one broadcast multiply,
+    from there on row by row with tmp a (3, k) scratch row. Both spellings round alike.
     """
     if later.shape[2] < _BROADCAST_BELOW:
-        return np.add.reduce(np.multiply(later[:, :, None], earlier[None]), axis=1, out=out)
+        terms = np.multiply(later[:, :, None], earlier[None])  # terms[i, j] = L[i,j] E[j]
+        return np.add(np.add(terms[:, 0], terms[:, 1], out=out), terms[:, 2], out=out)
     for i in range(DIM):
         row = out[i]  # row i of every pair product, all columns at once
         np.multiply(later[i, 0], earlier[0], out=row)
@@ -387,12 +387,11 @@ def _pair_products(later: np.ndarray, earlier: np.ndarray, out=None, tmp=None) -
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level multiplies adjacent pairs with _pair_products on (3, 3, m)
-    component arrays in the level buffers of this thread's workspace, which
-    the product reads itself; a stack from _step_unitaries is already laid out
-    that way. Every level rounds alike, whatever its length. An odd last
-    matrix carries to the next level. A stack of more than CHUNK_STEPS
-    matrices gets level buffers that are not kept.
+    Each level multiplies adjacent pairs with _pair_products, in one rounding order
+    whatever its length, on (3, 3, m) component arrays in the level buffers of this
+    thread's workspace, which the product reads itself; a stack from _step_unitaries is
+    already laid out that way. An odd last matrix carries to the next level. A stack of
+    more than CHUNK_STEPS matrices gets level buffers that are not kept.
     """
     p = unitaries.transpose(1, 2, 0)
     *_, levels, spare = _workspace(p.shape[2]).chunk(p.shape[2])
@@ -476,8 +475,9 @@ def propagator(
             t0 = pulse_start + (first + _CF4_NODES) * h
             chunk = ws.chunk(m)
             w = _coupling_weights(sys, drive, t0, h, a, chunk.coef)
-            product = time_ordered_product(_step_unitaries(w, h, chunk))
-            u = product if first == 0 else _pair_products(product[..., None], u[..., None])[..., 0]
+            later = time_ordered_product(_step_unitaries(w, h, chunk))[..., None]
+            u = _pair_products(later, u, np.empty_like(u), chunk.spare[:, :1]) if first else later
+        u = u[..., 0]
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise NumericalContractError(

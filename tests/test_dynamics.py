@@ -351,7 +351,7 @@ def test_idle_step_reads_no_stale_scratch():
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
-    for n in (33, 1001):
+    for n in (33, 1001, 2 * _BROADCAST_BELOW + 1):  # the last one's first level is unrolled
         w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
         ws = dynamics._workspace(n)
         ws.scratch.fill(np.nan)
@@ -372,7 +372,7 @@ def test_idle_step_reads_no_stale_scratch():
 )
 def test_time_ordered_product_matches_sequential_loop(n):
     # odd counts leave a carried step at one or more levels of the reduction; levels of
-    # fewer than _BROADCAST_BELOW pairs are one broadcast multiply and one sum
+    # fewer than _BROADCAST_BELOW pairs sum the terms of one broadcast multiply
     w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
     us = _step_unitaries(w, 0.7, fresh_chunk(n))
     sequential = np.eye(3, dtype=complex)
