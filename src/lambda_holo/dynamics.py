@@ -21,20 +21,19 @@ costs two exponentials; at the default 8 steps per counter-rotating period a
 40 ns transmon pulse (5,176 steps) needs 16 exponentials per period.
 
 A full-mode propagator is built in chunks of at most CHUNK_STEPS steps, in this
-thread's workspace, which it reads once per build. A first pass samples the
-envelope at every node and refuses the pulse if the two-node Gauss-Legendre area
-misses the exact one, before any step is built. Then the propagator lays out
-each chunk's regions once (_Workspace, 480 B per step): the weights stage,
-_coupling_weights, writes the chunk's factor weights into its coef region,
-_step_unitaries writes its step unitaries, and time_ordered_product, which reads
-the workspace itself, multiplies them in pairwise levels; each later chunk's
-product multiplies the result so far. Every one of these 3x3 products rounds
-each entry as the same three-term sum of numpy ufuncs (_pair_products): no BLAS
-call enters, and a level's length picks only the faster spelling. Memory is
-bounded by the chunk, not by the step count, and MAX_STEPS bounds the time. Each
-node lies on a uniform grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k)
-of a chunk of m steps come from one table of B + 2 ceil(m / B) complex
-exponentials per tone (B = _PHASE_BLOCK), at one complex multiply per node.
+thread's workspace (_Workspace, 480 B per step), which it reads once per build.
+A first pass samples the envelope at every node and refuses the pulse if the
+two-node Gauss-Legendre area misses the exact one, before any step is built.
+Then, per chunk, _coupling_weights writes the factor weights into the chunk's
+coef region, _step_unitaries writes the step unitaries, and time_ordered_product
+multiplies them in pairwise levels, each a contiguous array: a long one in the
+workspace, a short one fresh. Each later chunk's product multiplies the result
+so far. Every one of these 3x3 products rounds each entry as the same three-term
+sum of numpy ufuncs, so no BLAS call enters. Memory is bounded by the chunk, not
+by the step count, and MAX_STEPS bounds the time. Each node lies on a uniform
+grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
+come from one table of B + 2 ceil(m / B) complex exponentials per tone
+(B = _PHASE_BLOCK), at one complex multiply per node.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ CHUNK_STEPS = 8192
 _PHASE_BLOCK = 128
 _BLOCK_RANGE = np.arange(_PHASE_BLOCK)
 
-# Below this many pairs _pair_products broadcasts, cheaper than unrolling; it sets speed only.
+# Product levels of fewer pairs are fresh broadcasts (_short_products); it sets speed only.
 _BROADCAST_BELOW = 512
 
 # CF4: the nodes of step k sit at (k + _CF4_NODES) h, and its factors weigh the node
@@ -200,18 +199,16 @@ def num_steps(
     return n
 
 
-_Chunk = namedtuple("_Chunk", "unitaries uc reals coef work levels spare")
+_Chunk = namedtuple("_Chunk", "unitaries uc reals coef work")
 
 
 class _Workspace:
-    """Room for a chunk of up to `size` steps, and the one description of its layout.
+    """Room for a chunk of up to `size` steps, and the one layout of its step stages.
 
-    Per step it holds 9 complex numbers of step unitaries and 21 of scratch,
-    which chunk(m) hands out for m steps as uc, u and conj(u) of both factors
-    (8); reals, their c - 1, s and c (3); coef, the coefficients, which first
-    hold the CF4 factor weights (4); and work, the step kernel's temporaries
-    (6). Over the same scratch it hands out levels and spare, the product's two
-    (3, 3, ceil(m / 2)) level buffers and its spare row (10.5): 480 B per step.
+    Per step it holds 9 complex numbers of step unitaries and 21 of scratch (480 B), which
+    chunk(m) hands out for m steps as uc, u and conj(u) of both factors (8); reals, their
+    c - 1, s and c (3); coef, the coefficients, which first hold the CF4 factor weights (4);
+    and work, the step kernel's temporaries (6). time_ordered_product's long levels reuse it.
     """
 
     def __init__(self, size: int):
@@ -220,17 +217,13 @@ class _Workspace:
         self.scratch = np.empty(21 * size, dtype=complex)
 
     def chunk(self, m: int) -> _Chunk:
-        """The regions of m <= size steps: the step kernel's in memory order, then the product's."""
-        buf = self.scratch
-        half = (m + 1) // 2
+        """The step kernel's regions of m <= size steps, in memory order."""
         return _Chunk(
             self.unitaries[:, :, :m],
-            buf[: 8 * m].reshape(4, 2, m),
-            buf[8 * m : 11 * m].view(float).reshape(3, 2, m),
-            buf[11 * m : 15 * m].reshape(2, 2, m),
-            buf[15 * m : 21 * m],
-            buf[: 18 * half].reshape(2, DIM, DIM, half),
-            buf[18 * half : 21 * half].reshape(DIM, half),
+            self.scratch[: 8 * m].reshape(4, 2, m),
+            self.scratch[8 * m : 11 * m].view(float).reshape(3, 2, m),
+            self.scratch[11 * m : 15 * m].reshape(2, 2, m),
+            self.scratch[15 * m : 21 * m],
         )
 
 
@@ -242,7 +235,7 @@ def _workspace(size: int) -> _Workspace:
 
     A new workspace replaces the kept one only if it has room for at most
     CHUNK_STEPS steps, so what a thread keeps stays bounded. Its callers are
-    propagator, once per full-mode build, and time_ordered_product.
+    propagator, once per full-mode build, and time_ordered_product, for long levels.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
@@ -267,11 +260,13 @@ def _coupling_weights(
     """
     m = a.shape[1]
     # the tone constants -2i f and c, each as a (tone, 1) column
-    k, c = np.array([[-2j * sys.fe0, -2j * sys.fe1], [drive.c0, drive.c1]])[:, :, None]
+    k, c = np.array([[-2j * sys.fe0, -2j * sys.fe1], [drive.c0, drive.c1]], complex)[..., None]
     # c exp(-2i f t) = (c outer[q]) * inner[r] for t = t0 + (q B + r) h, both nodes and tones
     # at once; the last block is cut to m
     inner = np.exp(k * (h * _BLOCK_RANGE[: min(m, _PHASE_BLOCK)]))
-    starts = t0[:, None] + _PHASE_BLOCK * h * np.arange(-(-m // _PHASE_BLOCK))
+    starts = t0[:, None]
+    if m > _PHASE_BLOCK:
+        starts = starts + _PHASE_BLOCK * h * np.arange(-(-m // _PHASE_BLOCK))
     outer = np.exp(k * starts[:, None])
     outer *= c
     w = (outer[..., None] * inner[:, None, :]).reshape(2, 2, -1)[:, :, :m]
@@ -306,7 +301,7 @@ def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     as an (m, 3, 3) view, in the layout time_ordered_product multiplies.
     """
     m = w.shape[2]
-    s, uc, reals, coef, work, *_ = chunk
+    s, uc, reals, coef, work = chunk
     ua, ub, cua, cub = uc
     cm1, sin, cos = reals
     r = cm1  # r, then the angle r h, until c - 1 is formed
@@ -357,23 +352,18 @@ def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     np.multiply(ua, cm1[0], out=tmp)
     np.multiply(tmp[:, None], cua[None], out=coef)
     block += coef
-    for j in range(2):
-        block[j, j].real += 1.0
+    s.reshape(9, m)[0:5:4].real += 1.0  # the block's diagonal; a view, as _Workspace lays s out
     return s.transpose(2, 0, 1)
 
 
 def _pair_products(
     later: np.ndarray, earlier: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """The k products L E of two (3, 3, k) component arrays into out, in one rounding order.
+) -> None:
+    """The k products L E of two (3, 3, k) component arrays into out, with tmp a (3, k) row.
 
     Each entry is (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l], both additions written
-    out in numpy ufuncs: below _BROADCAST_BELOW pairs on the terms of one broadcast multiply,
-    from there on row by row with tmp a (3, k) scratch row. Both spellings round alike.
+    out in numpy ufuncs, row by row; _short_products rounds alike.
     """
-    if later.shape[2] < _BROADCAST_BELOW:
-        terms = np.multiply(later[:, :, None], earlier[None])  # terms[i, j] = L[i,j] E[j]
-        return np.add(np.add(terms[:, 0], terms[:, 1], out=out), terms[:, 2], out=out)
     for i in range(DIM):
         row = out[i]  # row i of every pair product, all columns at once
         np.multiply(later[i, 0], earlier[0], out=row)
@@ -381,27 +371,38 @@ def _pair_products(
         row += tmp
         np.multiply(later[i, 2], earlier[2], out=tmp)
         row += tmp
-    return out
+
+
+def _short_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """L E of 3x3 matrices or (3, 3, k) component arrays, fresh, rounded as _pair_products."""
+    terms = later[:, :, None] * earlier[None]  # terms[i, j] = L[i,j] E[j]
+    out = terms[:, 0] + terms[:, 1]
+    return np.add(out, terms[:, 2], out=out)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level multiplies adjacent pairs with _pair_products, in one rounding order
-    whatever its length, on (3, 3, m) component arrays in the level buffers of this
-    thread's workspace, which the product reads itself; a stack from _step_unitaries is
-    already laid out that way. An odd last matrix carries to the next level. A stack of
-    more than CHUNK_STEPS matrices gets level buffers that are not kept.
+    Each level writes its pair products and a carried odd last matrix as one contiguous
+    (3, 3, len) array, the layout of a stack from _step_unitaries: a level of fewer than
+    _BROADCAST_BELOW pairs fresh, a longer one into one of two regions of this thread's
+    workspace (not kept for a stack of more than CHUNK_STEPS), with a spare row alike.
     """
     p = unitaries.transpose(1, 2, 0)
-    *_, levels, spare = _workspace(p.shape[2]).chunk(p.shape[2])
+    half, side = (p.shape[2] + 1) // 2, 0  # a long level's regions: 9 half each, then the row
+    scratch = _workspace(p.shape[2]).scratch if p.shape[2] >= 2 * _BROADCAST_BELOW else None
     while p.shape[2] > 1:
         k, odd = divmod(p.shape[2], 2)
-        q = levels[0, :, :, : k + odd]
-        _pair_products(p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2], q[:, :, :k], spare[:, :k])
-        if odd:
-            q[:, :, k] = p[:, :, 2 * k]
-        p, levels = q, levels[::-1]
+        later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
+        if k < _BROADCAST_BELOW:
+            q = _short_products(later, earlier)
+            p = np.concatenate((q, p[:, :, 2 * k :]), axis=2) if odd else q
+        else:
+            q = scratch[9 * half * side :][: 9 * (k + odd)].reshape(DIM, DIM, k + odd)
+            tmp = scratch[18 * half :][: 3 * (k + odd)].reshape(DIM, k + odd)
+            _pair_products(later, earlier, q[:, :, :k], tmp[:, :k])
+            q[:, :, k:] = p[:, :, 2 * k :]
+            p, side = q, 1 - side
     return p[:, :, 0].copy()
 
 
@@ -440,12 +441,12 @@ def propagator(
 ) -> np.ndarray:
     """Time-ordered propagator over one pulse window [pulse_start, pulse_start + tau].
 
-    In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start.
-    In 'full' mode it is the product of the CF4 steps, built in chunks of at
-    most CHUNK_STEPS steps, each stacked and multiplied in this thread's
-    workspace, and it is refused unless the steps resolve the envelope: its
-    two-node Gauss-Legendre area (h/2) sum(a- + a+) must match the exact area
-    to PULSE_AREA_TOL (relative). A non-finite pulse_start raises ValueError.
+    In 'rwa' mode this is exp(-i area K), independent of sys and pulse_start. In 'full'
+    mode it is the product of the CF4 steps, built in chunks of at most CHUNK_STEPS
+    steps, each stacked in this thread's workspace and multiplied pairwise, and it is
+    refused unless the steps resolve the envelope: its two-node Gauss-Legendre area
+    (h/2) sum(a- + a+) must match the exact area to PULSE_AREA_TOL (relative). A
+    non-finite pulse_start raises ValueError.
     """
     if not math.isfinite(pulse_start):
         raise ValueError(f"pulse_start must be finite, got {pulse_start!r}")
@@ -475,9 +476,8 @@ def propagator(
             t0 = pulse_start + (first + _CF4_NODES) * h
             chunk = ws.chunk(m)
             w = _coupling_weights(sys, drive, t0, h, a, chunk.coef)
-            later = time_ordered_product(_step_unitaries(w, h, chunk))[..., None]
-            u = _pair_products(later, u, np.empty_like(u), chunk.spare[:, :1]) if first else later
-        u = u[..., 0]
+            later = time_ordered_product(_step_unitaries(w, h, chunk))
+            u = _short_products(later, u) if first else later
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise NumericalContractError(

@@ -1,6 +1,7 @@
 import inspect
 import math
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -339,6 +340,19 @@ def test_rotation_matches_a_step_whose_second_factor_is_idle():
         assert np.abs(_rotation(c0, c1, area) - batch[0]).max() <= 1e-14, (c0, c1, area)
 
 
+def test_step_kernel_writes_the_diagonal_through_a_view():
+    # _step_unitaries adds the identity to the {0, 1} block's diagonal through
+    # s.reshape(9, m)[0:5:4], which reaches s only if the reshape is a view, also for a
+    # chunk shorter than its workspace
+    ws = dynamics._Workspace(8)
+    for m in (1, 5, 8):
+        s = ws.chunk(m).unitaries
+        flat = s.reshape(9, m)
+        assert np.shares_memory(flat, ws.unitaries)
+        flat[0:5:4] = 2.0
+        assert (s[0, 0] == 2.0).all() and (s[1, 1] == 2.0).all()
+
+
 def test_idle_step_reads_no_stale_scratch():
     # a step of two idle factors (w = 0) is the identity, and neither the steps nor their
     # product depend on what this thread's reused scratch held before
@@ -399,7 +413,7 @@ def pairwise_three_term(stack):
 @pytest.mark.parametrize(
     "n",
     sorted(
-        {1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 511, 512, 513, 1001, 8192}
+        {1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 511, 512, 513, 1001, 1024, 2049, 4097, 8192}
         | {size + d for size in (_BROADCAST_BELOW, 2 * _BROADCAST_BELOW) for d in (-1, 1)}
     ),
 )
@@ -517,6 +531,26 @@ def test_concurrent_builds_match_sequential_builds():
             assert np.array_equal(got, want)
 
 
+def test_long_product_levels_allocate_nothing():
+    # levels of _BROADCAST_BELOW or more pairs are written into this thread's workspace;
+    # only shorter ones allocate (a broadcast's terms, numpy's ufunc buffers and the level:
+    # 0.48 MB at 511 pairs, numpy 2.4.6), so an 8,192-step product allocates no more than
+    # its short tail, a 512-step product
+    def peak(n):
+        us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7, fresh_chunk(n))
+        time_ordered_product(us)  # grows this thread's workspace if it must
+        tracemalloc.start()
+        try:
+            time_ordered_product(us)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short_levels = 2**19
+    assert peak(2 * _BROADCAST_BELOW - 1) < short_levels
+    assert peak(8192) < min(short_levels, peak(512) + 4096)
+
+
 def test_kept_workspace_is_bounded():
     # a stack longer than a chunk is built and multiplied in a workspace the thread does
     # not keep; the kept one holds a chunk's steps and their scratch, 480 B per step
@@ -629,10 +663,13 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
         assert row is w
 
 
-@pytest.mark.parametrize("tau_ns,chunks", [(40.0, 1), (100.0, 2)])
-def test_propagator_owns_the_workspace(tau_ns, chunks, monkeypatch):
+@pytest.mark.parametrize(
+    "tau_ns,chunks,product_reads", [(1.0, 1, 0), (40.0, 1, 1), (100.0, 2, 2)]
+)
+def test_propagator_owns_the_workspace(tau_ns, chunks, product_reads, monkeypatch):
     # a full-mode build reads this thread's workspace once and hands the weights and step
-    # stages their regions; only the product, which takes the stack alone, reads it again
+    # stages their regions; only the product, which takes the stack alone, reads it again,
+    # for levels of _BROADCAST_BELOW or more pairs, which a 1,000-step chunk does not have
     callers = []
     workspace = dynamics._workspace
 
@@ -642,9 +679,12 @@ def test_propagator_owns_the_workspace(tau_ns, chunks, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_workspace", counted)
     drive = gaussian_drive(tau_ns)
-    assert -(-num_steps(TRANSMON, drive.envelope.tau, PropagationConfig()) // CHUNK_STEPS) == chunks
+    n = num_steps(TRANSMON, drive.envelope.tau, PropagationConfig())
+    assert -(-n // CHUNK_STEPS) == chunks
+    if not product_reads:
+        assert n == MIN_STEPS  # 500 pairs at its first level, fewer than _BROADCAST_BELOW
     propagator(TRANSMON, drive, PropagationConfig())
-    assert Counter(callers) == {"propagator": 1, "time_ordered_product": chunks}
+    assert Counter(callers) == Counter(propagator=1, time_ordered_product=product_reads)
     callers.clear()
     propagator(TRANSMON, drive, PropagationConfig(mode="rwa"))
     assert callers == []
