@@ -21,15 +21,16 @@ costs two exponentials; at the default 8 steps per counter-rotating period a
 40 ns transmon pulse (5,176 steps) needs 16 exponentials per period.
 
 A full-mode propagator is built in chunks of at most CHUNK_STEPS steps, in this
-thread's workspace (_Workspace, 480 B per step), which it reads once per build.
+thread's workspace (_Workspace, 480 B per step), which it reads once per build
+and the product once per chunk.
 A first pass samples the envelope at every node and refuses the pulse if the
 two-node Gauss-Legendre area misses the exact one, before any step is built.
 Then, per chunk, _coupling_weights writes the factor weights into the chunk's
 coef region, _step_unitaries writes the step unitaries, and time_ordered_product
-multiplies them in pairwise levels, each a contiguous array: a long one in the
-workspace, a short one fresh. Each later chunk's product multiplies the result
-so far. Every one of these 3x3 products rounds each entry as the same three-term
-sum of numpy ufuncs, so no BLAS call enters. Memory is bounded by the chunk, not
+multiplies them in pairwise levels, each a contiguous array in the workspace's
+scratch. Each later chunk's product multiplies the result so far. Every one of
+these 3x3 products rounds each entry as the same three-term sum of numpy ufuncs
+(_short_products), so no BLAS call enters. Memory is bounded by the chunk, not
 by the step count, and MAX_STEPS bounds the time. Each node lies on a uniform
 grid t_k = t0 + k h, so the carrier phases exp(-2i f t_k) of a chunk of m steps
 come from one table of B + 2 ceil(m / B) complex exponentials per tone
@@ -92,9 +93,6 @@ CHUNK_STEPS = 8192
 # outer[q] * inner[r], with outer[q] = exp(-2i f (t0 + q B h)) and inner[r] = exp(-2i f r h).
 _PHASE_BLOCK = 128
 _BLOCK_RANGE = np.arange(_PHASE_BLOCK)
-
-# Product levels of fewer pairs are fresh broadcasts (_short_products); it sets speed only.
-_BROADCAST_BELOW = 512
 
 # CF4: the nodes of step k sit at (k + _CF4_NODES) h, and its factors weigh the node
 # Hamiltonians (H-, H+) by (A1, A2), then by (A2, A1).
@@ -208,7 +206,7 @@ class _Workspace:
     Per step it holds 9 complex numbers of step unitaries and 21 of scratch (480 B), which
     chunk(m) hands out for m steps as uc, u and conj(u) of both factors (8); reals, their
     c - 1, s and c (3); coef, the coefficients, which first hold the CF4 factor weights (4);
-    and work, the step kernel's temporaries (6). time_ordered_product's long levels reuse it.
+    and work, the step kernel's temporaries (6). time_ordered_product's levels reuse it.
     """
 
     def __init__(self, size: int):
@@ -235,7 +233,7 @@ def _workspace(size: int) -> _Workspace:
 
     A new workspace replaces the kept one only if it has room for at most
     CHUNK_STEPS steps, so what a thread keeps stays bounded. Its callers are
-    propagator, once per full-mode build, and time_ordered_product, for long levels.
+    propagator, once per full-mode build, and time_ordered_product, once per product.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < size:
@@ -356,53 +354,46 @@ def _step_unitaries(w: np.ndarray, h: float, chunk: _Chunk) -> np.ndarray:
     return s.transpose(2, 0, 1)
 
 
-def _pair_products(
-    later: np.ndarray, earlier: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> None:
-    """The k products L E of two (3, 3, k) component arrays into out, with tmp a (3, k) row.
+def _short_products(
+    later: np.ndarray,
+    earlier: np.ndarray,
+    terms: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """L E of 3x3 matrices or (3, 3, k) component arrays, into terms and out, or fresh.
 
-    Each entry is (L[i,0] E[0,l] + L[i,1] E[1,l]) + L[i,2] E[2,l], both additions written
-    out in numpy ufuncs, row by row; _short_products rounds alike.
+    One broadcast multiply forms terms[j, i, l] = L[i,j] E[j,l], and each entry is
+    (terms[0] + terms[1]) + terms[2], one three-term sum; the first sum stays in terms[0],
+    contiguous, so only the last add writes out, strided in a level with a carry.
     """
-    for i in range(DIM):
-        row = out[i]  # row i of every pair product, all columns at once
-        np.multiply(later[i, 0], earlier[0], out=row)
-        np.multiply(later[i, 1], earlier[1], out=tmp)
-        row += tmp
-        np.multiply(later[i, 2], earlier[2], out=tmp)
-        row += tmp
-
-
-def _short_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """L E of 3x3 matrices or (3, 3, k) component arrays, fresh, rounded as _pair_products."""
-    terms = later[:, :, None] * earlier[None]  # terms[i, j] = L[i,j] E[j]
-    out = terms[:, 0] + terms[:, 1]
-    return np.add(out, terms[:, 2], out=out)
+    terms = np.multiply(later.swapaxes(0, 1)[:, :, None], earlier[:, None], out=terms)
+    np.add(terms[0], terms[1], out=terms[0])
+    return np.add(terms[0], terms[2], out=out)
 
 
 def time_ordered_product(unitaries: np.ndarray) -> np.ndarray:
     """Product U_{N-1} ... U_1 U_0 of a (N, 3, 3) stack, by pairwise reduction.
 
-    Each level writes its pair products and a carried odd last matrix as one contiguous
-    (3, 3, len) array, the layout of a stack from _step_unitaries: a level of fewer than
-    _BROADCAST_BELOW pairs fresh, a longer one into one of two regions of this thread's
-    workspace (not kept for a stack of more than CHUNK_STEPS), with a spare row alike.
+    Each level writes its pair products (_short_products) and a carried odd last matrix as
+    one contiguous (3, 3, len) array, the layout of a stack from _step_unitaries, into this
+    thread's workspace (of at least 16 steps, so that short stacks fit; not kept for a stack
+    of more than CHUNK_STEPS): the levels alternate between regions of 9 ceil(N/2) and
+    9 ceil(ceil(N/2)/2) complex numbers, and the terms of a level, 27 floor(N/2) at most,
+    follow them, at most 20.25 N + 9 of the scratch's 21 per step.
     """
     p = unitaries.transpose(1, 2, 0)
-    half, side = (p.shape[2] + 1) // 2, 0  # a long level's regions: 9 half each, then the row
-    scratch = _workspace(p.shape[2]).scratch if p.shape[2] >= 2 * _BROADCAST_BELOW else None
+    half = (p.shape[2] + 1) // 2
+    end = 9 * (half + (half + 1) // 2)  # of the two level regions; the terms follow
+    scratch = _workspace(max(p.shape[2], 16)).scratch
+    regions, terms, side = (scratch[: 9 * half], scratch[9 * half : end]), scratch[end:], 0
     while p.shape[2] > 1:
         k, odd = divmod(p.shape[2], 2)
+        q = regions[side][: 9 * (k + odd)].reshape(DIM, DIM, k + odd)
         later, earlier = p[:, :, 1 : 2 * k : 2], p[:, :, 0 : 2 * k : 2]
-        if k < _BROADCAST_BELOW:
-            q = _short_products(later, earlier)
-            p = np.concatenate((q, p[:, :, 2 * k :]), axis=2) if odd else q
-        else:
-            q = scratch[9 * half * side :][: 9 * (k + odd)].reshape(DIM, DIM, k + odd)
-            tmp = scratch[18 * half :][: 3 * (k + odd)].reshape(DIM, k + odd)
-            _pair_products(later, earlier, q[:, :, :k], tmp[:, :k])
+        _short_products(later, earlier, terms[: 27 * k].reshape(DIM, DIM, DIM, k), q[:, :, :k])
+        if odd:
             q[:, :, k:] = p[:, :, 2 * k :]
-            p, side = q, 1 - side
+        p, side = q, 1 - side
     return p[:, :, 0].copy()
 
 

@@ -45,8 +45,16 @@ _FIDELITY_CEILING = 1.0 + 1e-9
 
 
 def fig1_default_durations_ns(points: int = 100, lo: float = 1.0, hi: float = 100.0):
-    """Logarithmic duration grid (ns) for the averaged duration scan."""
-    return np.logspace(np.log10(lo), np.log10(hi), points)
+    """Logarithmic duration grid (ns) for the averaged duration scan.
+
+    np.logspace's points in Python floats (numpy's SIMD power moves some by an ulp between
+    CPUs); one point is lo.
+    """
+    if points <= 1:
+        return np.full(points, float(lo))
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (points - 1)
+    return np.array([10.0 ** (a + i * step) for i in range(points - 1)] + [10.0**b])
 
 
 FIG1_DURATIONS_NS = tuple(map(float, fig1_default_durations_ns()))

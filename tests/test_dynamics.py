@@ -20,7 +20,6 @@ from lambda_holo.dynamics import (
     LambdaSystem,
     PropagationConfig,
     TRANSMON,
-    _BROADCAST_BELOW,
     _PHASE_BLOCK,
     _coupling_weights,
     _rotation,
@@ -365,7 +364,7 @@ def test_idle_step_reads_no_stale_scratch():
     for k in (0, 2):
         assert np.array_equal(batch[k], np.eye(3))
     assert np.isfinite(batch).all()
-    for n in (33, 1001, 2 * _BROADCAST_BELOW + 1):  # the last one's first level is unrolled
+    for n in (33, 1001, 1025):  # each level is written over NaN scratch
         w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
         ws = dynamics._workspace(n)
         ws.scratch.fill(np.nan)
@@ -379,14 +378,10 @@ def test_idle_step_reads_no_stale_scratch():
 
 @pytest.mark.parametrize(
     "n",
-    sorted(
-        {1, 2, 3, 5, 7, 31, 32, 33, 64, 127, 128, 129, 511, 512, 513, 1001}
-        | {size + d for size in (_BROADCAST_BELOW, 2 * _BROADCAST_BELOW) for d in (-1, 0, 1)}
-    ),
+    [1, 2, 3, 5, 7, 31, 32, 33, 64, 127, 128, 129, 511, 512, 513, 1001, 1023, 1024, 1025],
 )
 def test_time_ordered_product_matches_sequential_loop(n):
-    # odd counts leave a carried step at one or more levels of the reduction; levels of
-    # fewer than _BROADCAST_BELOW pairs sum the terms of one broadcast multiply
+    # odd counts leave a carried step at one or more levels of the reduction
     w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
     us = _step_unitaries(w, 0.7, fresh_chunk(n))
     sequential = np.eye(3, dtype=complex)
@@ -412,14 +407,11 @@ def pairwise_three_term(stack):
 
 @pytest.mark.parametrize(
     "n",
-    sorted(
-        {1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 511, 512, 513, 1001, 1024, 2049, 4097, 8192}
-        | {size + d for size in (_BROADCAST_BELOW, 2 * _BROADCAST_BELOW) for d in (-1, 1)}
-    ),
+    [1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 511, 512, 513, 1001, 1023, 1024, 1025, 2049, 4097, 8192],
 )
 def test_time_ordered_product_has_one_rounding_order(n):
-    # every level, short or long and in either spelling, rounds each entry as the same
-    # three-term sum, so the CPU's BLAS kernel cannot move a digit
+    # every level, short or long, rounds each entry as the same three-term sum, so the
+    # CPU's BLAS kernel cannot move a digit
     w = RNG.normal(size=(2, 2, n)) + 1j * RNG.normal(size=(2, 2, n))
     us = _step_unitaries(w, 0.7, fresh_chunk(n))
     want = pairwise_three_term(np.array(us))
@@ -532,10 +524,9 @@ def test_concurrent_builds_match_sequential_builds():
 
 
 def test_long_product_levels_allocate_nothing():
-    # levels of _BROADCAST_BELOW or more pairs are written into this thread's workspace;
-    # only shorter ones allocate (a broadcast's terms, numpy's ufunc buffers and the level:
-    # 0.48 MB at 511 pairs, numpy 2.4.6), so an 8,192-step product allocates no more than
-    # its short tail, a 512-step product
+    # every level and its terms are written into this thread's workspace, so a product
+    # allocates only numpy's ufunc buffers for the broadcast multiply (30-224 KB at these
+    # sizes, numpy 2.4.6), not its levels
     def peak(n):
         us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7, fresh_chunk(n))
         time_ordered_product(us)  # grows this thread's workspace if it must
@@ -546,9 +537,26 @@ def test_long_product_levels_allocate_nothing():
         finally:
             tracemalloc.stop()
 
-    short_levels = 2**19
-    assert peak(2 * _BROADCAST_BELOW - 1) < short_levels
-    assert peak(8192) < min(short_levels, peak(512) + 4096)
+    for n in (64, 511, 1001, 4097, 8192):
+        assert peak(n) < 327_680, n
+
+
+def test_short_stacks_fit_a_fresh_workspace():
+    # a thread's first product asks for a workspace of at least 16 steps, whose scratch
+    # holds both level regions and the terms of a stack of 2-15 steps
+    results = {}
+
+    def multiply(n, us):
+        results[n] = time_ordered_product(us), dynamics._workspace(1).size
+
+    for n in range(2, 16):
+        us = _step_unitaries(RNG.normal(size=(2, 2, n)) + 0j, 0.7, fresh_chunk(n))
+        thread = threading.Thread(target=multiply, args=(n, us))
+        thread.start()
+        thread.join()
+        got, size = results[n]
+        assert size == 16
+        assert got.tobytes() == pairwise_three_term(np.array(us)).tobytes()
 
 
 def test_kept_workspace_is_bounded():
@@ -664,12 +672,12 @@ def test_weights_stage_is_one_call_per_chunk(tau_ns, chunks, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "tau_ns,chunks,product_reads", [(1.0, 1, 0), (40.0, 1, 1), (100.0, 2, 2)]
+    "tau_ns,chunks,product_reads", [(1.0, 1, 1), (40.0, 1, 1), (100.0, 2, 2)]
 )
 def test_propagator_owns_the_workspace(tau_ns, chunks, product_reads, monkeypatch):
     # a full-mode build reads this thread's workspace once and hands the weights and step
     # stages their regions; only the product, which takes the stack alone, reads it again,
-    # for levels of _BROADCAST_BELOW or more pairs, which a 1,000-step chunk does not have
+    # once per chunk, for its levels and their terms
     callers = []
     workspace = dynamics._workspace
 
@@ -681,8 +689,6 @@ def test_propagator_owns_the_workspace(tau_ns, chunks, product_reads, monkeypatc
     drive = gaussian_drive(tau_ns)
     n = num_steps(TRANSMON, drive.envelope.tau, PropagationConfig())
     assert -(-n // CHUNK_STEPS) == chunks
-    if not product_reads:
-        assert n == MIN_STEPS  # 500 pairs at its first level, fewer than _BROADCAST_BELOW
     propagator(TRANSMON, drive, PropagationConfig())
     assert Counter(callers) == Counter(propagator=1, time_ordered_product=product_reads)
     callers.clear()

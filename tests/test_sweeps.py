@@ -105,6 +105,8 @@ def test_fig1_grid_is_logarithmic():
     assert taus[-1] == pytest.approx(100.0)
     ratios = taus[1:] / taus[:-1]
     assert np.allclose(ratios, ratios[0])
+    assert fig1_default_durations_ns(1, lo=0.3).tolist() == [0.3]
+    assert fig1_default_durations_ns(0).shape == (0,)
 
 
 def test_sequence_sweep_rwa_is_unity():
